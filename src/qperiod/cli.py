@@ -7,11 +7,12 @@ output is for humans and aligns coefficient columns.
 
 Exit codes: 0 success (a failed congruence is still a successful check),
 2 usage error (bad flags, eagerly rejected arguments), 1 computation
-error."""
+error, or an output pipe its reader closed (with nothing on stderr)."""
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cyclo import NotDivisibleError, ohtsuki_expansion
@@ -400,10 +401,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except (ValueError, CrossingLimitError, NotDivisibleError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader has gone; point stdout at devnull so that the flush at
+        # interpreter exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

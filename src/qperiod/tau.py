@@ -3,26 +3,48 @@ at prime roots of unity, Ohtsuki coefficient tables, the conjugation
 obstruction to r-periodicity, the quotient congruence for prime-fold
 branched covers, and CRT lifting of the resulting discriminants.
 
-The series summed here terminate: for n >= r-1 the factor window
-[n+1, 2n+1] has length >= r, hence contains a multiple of r and the term
-vanishes.  The global (1-xi)^{-1} prefactor is absorbed exactly by
-replacing the first window factor (1-xi^(n+1)) with the geometric sum
-1 + xi + ... + xi^n, which stays in Z[xi] for every n.
+Both invariants are sums  sum_n xi^f(n) W(n)  with the window
+
+    W(n) = (1 + xi + ... + xi^n) * prod_{k=n+2}^{2n+1} (1 - xi^k)
+         = prod_{k=n+1}^{2n+1} (1 - xi^k) / (1 - xi),
+
+where the geometric sum absorbs the global (1 - xi)^{-1} prefactor and
+keeps every term in Z[xi].  The series terminates: once 2n+1 >= r the
+window [n+1, 2n+1] contains a multiple of r, so W(n) = 0, and only
+n < (r-1)/2 contributes.
+
+Consecutive windows share all but three factors:
+
+    W(0) = 1,   W(n+1) = W(n) (1 - xi^(2n+2)) (1 - xi^(2n+3)) / (1 - xi^(n+1)).
+
+The sum is accumulated on plain integer vectors in Z[T]/(T^r - 1), where
+each binomial factor is a shift and subtract, and the division is an
+exact O(r) running sum along the single cycle of the walk i -> i + n + 1
+(gcd(n+1, r) = 1).  A window costs O(r), so a level costs O(r^2); the
+total is folded into Z[xi] once at the end.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .cyclo import (
     CyclotomicInt,
     cyclo_from_json,
     cyclo_to_json,
-    ideal_member,
     make,
     ohtsuki_expansion,
 )
 from .liedata import RootSystem, admissible_r, build_root_system, constants
-from .modular import crt_symmetric, decode_int, encode_int, factorize, is_prime
+from .modular import (
+    crt_symmetric,
+    decode_int,
+    encode_int,
+    factorize,
+    fp_divides,
+    fp_gcd,
+    is_prime,
+)
 
 MANIFOLDS = ("poincare", "brieskorn_2_3_7", "s3")
 
@@ -57,26 +79,42 @@ def _require_level(r: int) -> None:
         raise ValueError(f"r = {r} must be a prime >= 5")
 
 
-def _geometric(r: int, n: int) -> CyclotomicInt:
-    return make(r, [(j, 1) for j in range(n + 1)])
+def _shift_subtract(w: list[int], k: int) -> list[int]:
+    """w * (1 - T^k) in Z[T]/(T^r - 1), for 0 < k < r."""
+    return [a - b for a, b in zip(w, w[-k:] + w[:-k])]
 
 
-def _window(r: int, n: int) -> CyclotomicInt:
-    """(1+xi+...+xi^n) * prod_{k=n+2}^{2n+1} (1 - xi^k)."""
-    term = _geometric(r, n)
-    for k in range(n + 2, 2 * n + 2):
-        term = term * make(r, [(0, 1), (k, -1)])
-        if term.is_zero:
-            break
-    return term
+def _divide_one_minus_power(y: list[int], m: int) -> list[int]:
+    """A quotient y / (1 - T^m) in Z[T]/(T^r - 1), for m invertible mod r.
+
+    q_i = y_i + q_{i-m} is a running sum along the cycle 0, m, 2m, ...
+    through every index; it closes exactly when the coefficients of y sum
+    to zero, which holds for every y built here.  The quotient is fixed up
+    to a multiple of 1 + T + ... + T^(r-1), which the next factor
+    (1 - T^k) and the fold into Z[xi] both annihilate.
+    """
+    r = len(y)
+    walk = [(j * m) % r for j in range(r)]
+    sums = list(accumulate(y[i] for i in walk))
+    if sums[-1] != 0:
+        raise AssertionError("division bookkeeping failed")  # unreachable
+    q = [0] * r
+    for i, s in zip(walk, sums):
+        q[i] = s
+    return q
 
 
 def _tau_sum(r: int, front_exponent) -> CyclotomicInt:
-    total = CyclotomicInt.zero(r)
-    for n in range(r - 1):
-        term = CyclotomicInt.power(r, front_exponent(n) % r) * _window(r, n)
-        total = total + term
-    return total
+    total = [0] * r
+    window = [1] + [0] * (r - 1)
+    for n in range((r - 1) // 2):
+        if n:
+            window = _shift_subtract(window, 2 * n)
+            window = _shift_subtract(window, 2 * n + 1)
+            window = _divide_one_minus_power(window, n)
+        s = front_exponent(n) % r
+        total = [a + b for a, b in zip(total, window[-s:] + window[:-s])]
+    return make(r, enumerate(total))
 
 
 def tau_poincare(r: int) -> TauValue:
@@ -215,12 +253,15 @@ def quotient_congruence_test(
     half_trace = make(r, {1: 1, r - 1: 1})
     gen = half_trace**p - half_trace
     power = x_m_prime**p
+    # as in ideal_member, membership in (p, gen) is divisibility by
+    # g = gcd(1 + T + ... + T^(r-1), gen) over GF(p); g is the same for every u
+    g = fp_gcd([1] * r, list(gen.coeffs), p)
     found = []
     for u in range(2 * r):
         shifted = CyclotomicInt.power(r, u % r) * power
         if u % 2:
             shifted = -shifted
-        if ideal_member(x_m - shifted, p, gen):
+        if fp_divides(g, list((x_m - shifted).coeffs), p):
             found.append(u)
     return tuple(found)
 

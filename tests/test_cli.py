@@ -3,6 +3,7 @@ validation for every subcommand."""
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -370,3 +371,20 @@ def test_installed_entry_point() -> None:
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["manifold"] == "s3"
+
+
+def test_closed_output_pipe_exits_quietly() -> None:
+    # the reader is gone before the first write: exit 1, no traceback
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qperiod.cli", "ohtsuki", "--manifold", "poincare", "--r", "59"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

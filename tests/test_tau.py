@@ -6,10 +6,10 @@ from __future__ import annotations
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qperiod.cyclo import CyclotomicInt, make, ohtsuki_expansion
+from qperiod.cyclo import CyclotomicInt, ideal_member, make, ohtsuki_expansion
 from qperiod.liedata import build_root_system
 from qperiod.tau import (
     DiscriminantReport,
@@ -24,10 +24,12 @@ from qperiod.tau import (
     tau_poincare,
     tau_s3,
     twist_conjugate,
-    _window,
+    _tau_sum,
 )
+from qperiod.modular import is_prime
 
 A1 = build_root_system("A", 1)
+FRONTS = {"poincare": lambda n: n, "brieskorn_2_3_7": lambda n: -n * (n + 2)}
 
 
 def digits(x: CyclotomicInt) -> tuple[int, ...]:
@@ -69,22 +71,47 @@ def test_tau_for_dispatch() -> None:
         tau_for("lens_5_1", 5)
 
 
+# ---------------------------------------------------------------------------
+# the term-by-term reference for _tau_sum: each window rebuilt from scratch
+# as a dense product in Z[xi], about r^4 per level
+
+
+def _geometric(r: int, n: int) -> CyclotomicInt:
+    return make(r, [(j, 1) for j in range(n + 1)])
+
+
+def _window(r: int, n: int) -> CyclotomicInt:
+    """(1+xi+...+xi^n) * prod_{k=n+2}^{2n+1} (1 - xi^k)."""
+    term = _geometric(r, n)
+    for k in range(n + 2, 2 * n + 2):
+        term = term * make(r, [(0, 1), (k, -1)])
+        if term.is_zero:
+            break
+    return term
+
+
+def _reference_sum(r: int, front, terms: int) -> CyclotomicInt:
+    return sum(
+        (CyclotomicInt.power(r, front(n) % r) * _window(r, n) for n in range(terms)),
+        CyclotomicInt.zero(r),
+    )
+
+
 @pytest.mark.parametrize("r", [5, 7, 11])
 def test_truncation_is_safe(r: int) -> None:
     # terms with n >= r-1 vanish because the factor window [n+2, 2n+1]
     # then contains a multiple of r (absorbing the geometric factor only
     # shortens the window by its first slot, n+1, which is a multiple of
     # r exactly when the whole term already dies elsewhere for n <= 2r)
-    for front in (lambda n: n, lambda n: -n * (n + 2)):
-        short = sum(
-            (CyclotomicInt.power(r, front(n) % r) * _window(r, n) for n in range(r - 1)),
-            CyclotomicInt.zero(r),
-        )
-        long = sum(
-            (CyclotomicInt.power(r, front(n) % r) * _window(r, n) for n in range(2 * r)),
-            CyclotomicInt.zero(r),
-        )
-        assert short == long
+    for front in FRONTS.values():
+        assert _reference_sum(r, front, r - 1) == _reference_sum(r, front, 2 * r)
+
+
+@pytest.mark.parametrize("manifold", sorted(FRONTS))
+@pytest.mark.parametrize("r", [r for r in range(5, 62) if is_prime(r)])
+def test_tau_sum_matches_window_reference(r: int, manifold: str) -> None:
+    front = FRONTS[manifold]
+    assert _tau_sum(r, front) == _reference_sum(r, front, r - 1)
 
 
 # collected congruence table: a1 = 6 for both manifolds at every good prime
@@ -302,6 +329,37 @@ def test_quotient_congruence_ring_mismatch() -> None:
         quotient_congruence_test(CyclotomicInt.one(5), CyclotomicInt.one(7), 11, 5, A1)
 
 
+SMALL_PRIMES = [p for p in range(3, 200) if is_prime(p)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([5, 7, 11, 13, 17, 19, 23]).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.sampled_from(sorted(FRONTS) + ["s3"]),
+            st.sampled_from(sorted(FRONTS) + ["s3"]),
+            st.sampled_from([p for p in SMALL_PRIMES if p % r in (1, r - 1)])
+            | st.sampled_from([p for p in SMALL_PRIMES if p % r]),
+        )
+    )
+)
+def test_quotient_congruence_matches_ideal_member(data) -> None:
+    # the shift set equals the one found by asking ideal_member for each u;
+    # p = +-1 mod r is where (xi+xi^-1)^p - (xi+xi^-1) has a nonconstant
+    # gcd with the cyclotomic polynomial mod p
+    r, m, m_prime, p = data
+    x_m, y = tau_for(m, r).value, tau_for(m_prime, r).value
+    half_trace = make(r, {1: 1, r - 1: 1})
+    gen = half_trace**p - half_trace
+    want = tuple(
+        u
+        for u in range(2 * r)
+        if ideal_member(x_m - (-1) ** u * CyclotomicInt.power(r, u) * y**p, p, gen)
+    )
+    assert quotient_congruence_test(x_m, y, p, r, A1) == want
+
+
 # ---------------------------------------------------------------------------
 # CRT lifting and the period discriminants
 
@@ -349,6 +407,23 @@ def test_discriminant_primes_divide_lift() -> None:
     assert sorted(p for p, _ in rep.factorization) == [2, 3, 5]
     rep = period_discriminant("brieskorn_2_3_7", [11, 13, 17, 19])
     assert sorted(p for p, _ in rep.factorization) == [2, 3, 7]
+
+
+HEADLINE = {"poincare": ([7, 11, 13, 17], 480), "brieskorn_2_3_7": ([11, 13, 17, 19], 1344)}
+LEVELS_TO_139 = [r for r in range(5, 140) if is_prime(r)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(sorted(HEADLINE)), st.sets(st.sampled_from(LEVELS_TO_139)))
+@example("poincare", set(LEVELS_TO_139))
+@example("brieskorn_2_3_7", set(LEVELS_TO_139))
+def test_more_levels_never_move_the_lift(manifold: str, extra: set[int]) -> None:
+    levels, lifted = HEADLINE[manifold]
+    # level by level first: a wrong residue then fails here, instead of
+    # leaving a huge lift for the trial-division factorization
+    for r in extra:
+        assert (period_discriminant(manifold, [r]).lifted - lifted) % r == 0
+    assert period_discriminant(manifold, set(levels) | extra).lifted == lifted
 
 
 def test_s3_discriminant_is_zero() -> None:
