@@ -18,6 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .modular import decode_int, encode_int, fp_divides, fp_gcd, fp_trim, is_prime
@@ -27,7 +28,9 @@ class NotDivisibleError(ValueError):
     """Raised when exact division by (1 - xi) is requested outside its ideal."""
 
 
+@lru_cache(maxsize=None)
 def _check_r(r: int) -> None:
+    # memoised, so each ring is checked once; a call that raises is not cached
     if r < 3 or not is_prime(r):
         raise ValueError(f"r must be a prime >= 3, got {r}")
 
@@ -221,6 +224,18 @@ def divide_by_one_minus_xi(x: CyclotomicInt) -> CyclotomicInt:
     if run + g[r - 1] != 0:
         raise AssertionError("division bookkeeping failed")  # unreachable
     return CyclotomicInt(r, tuple(out))
+
+
+def divide_by_one_minus_xi_power(x: CyclotomicInt, e: int) -> CyclotomicInt:
+    """Exact quotient x / (1 - xi^e) for e invertible mod r (ValueError
+    otherwise), in O(r).
+
+    The Galois twist xi -> xi^e carries 1 - xi to 1 - xi^e, so the quotient
+    is the twist by e of (x twisted by e^-1) / (1 - xi).  Both generate the
+    ideal (1 - xi), so the same coefficient-sum test decides divisibility
+    and NotDivisibleError is raised outside it.
+    """
+    return divide_by_one_minus_xi(x.galois(pow(e, -1, x.r))).galois(e)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclo import CyclotomicInt, cyclo_from_json, cyclo_to_json, make
+from .cyclo import (
+    CyclotomicInt,
+    NotDivisibleError,
+    cyclo_from_json,
+    cyclo_to_json,
+    divide_by_one_minus_xi_power,
+    make,
+)
 from .modular import is_prime
 
 RANK_CAPS = {"A": (1, 6), "B": (2, 5), "C": (2, 5), "D": (4, 5), "F": (4, 4), "G": (2, 2)}
@@ -175,6 +182,13 @@ def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fract
 
 @lru_cache(maxsize=None)
 def constants(rs: RootSystem) -> LieConstants:
+    """The LieConstants of rs, read off its roots and Cartan matrix.
+
+    h is one more than the height of the highest short root paired with
+    rho, h_dual comes from the largest (beta|rho), D from the inverse Gram
+    matrix, and the Weyl group order from the root heights: the exponents
+    m_i are the dual partition of the height counts (Kostant), and
+    |W| = prod(m_i + 1)."""
     l = rs.rank
     d_max = max(rs.d)
     lengths = [rs.bilinear(b, b) for b in rs.positive_roots]
@@ -198,20 +212,14 @@ def constants(rs: RootSystem) -> LieConstants:
     for i in range(l):
         for j in range(l):
             denom = lcm(denom, (rs.d[j] * weights[i][j]).denominator)
-    two_rho = tuple(int(2 * c) for c in rs.rho_coords)
-    orbit = {two_rho}
-    frontier = [two_rho]
-    while frontier:
-        x = frontier.pop()
-        for i in range(l):
-            coef = rs.pairing(x, i)
-            y = list(x)
-            y[i] -= coef
-            cand = tuple(y)
-            if cand not in orbit:
-                orbit.add(cand)
-                frontier.append(cand)
-    return LieConstants(d_max, denom, h, int(h_dual_frac), int(det), len(orbit))
+    # Kostant: with n_k positive roots of height k, the exponent m occurs
+    # n_m - n_(m+1) times, and |W| is the product of the m + 1
+    heights = [sum(b) for b in rs.positive_roots]
+    n = [heights.count(k) for k in range(max(heights) + 2)]
+    weyl_order = 1
+    for m in range(1, len(n) - 1):
+        weyl_order *= (m + 1) ** (n[m] - n[m + 1])
+    return LieConstants(d_max, denom, h, int(h_dual_frac), int(det), weyl_order)
 
 
 def _require_admissible_size(rs: RootSystem, r: int) -> None:
@@ -266,90 +274,31 @@ def kernel_size(rs: RootSystem, r: int) -> int:
     return r ** (l - rank)
 
 
-def _as_q_poly(x: CyclotomicInt) -> list[Fraction]:
-    return [Fraction(c) for c in x.coeffs]
-
-
-def _q_trim(f: list[Fraction]) -> list[Fraction]:
-    while f and not f[-1]:
-        f.pop()
-    return f
-
-
-def _q_divmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    f = _q_trim(f[:])
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    inv = 1 / g[-1]
-    while len(f) >= len(g):
-        shift = len(f) - len(g)
-        c = f[-1] * inv
-        q[shift] = c
-        for i, gc in enumerate(g):
-            f[shift + i] -= c * gc
-        _q_trim(f)
-    return _q_trim(q), f
-
-
-def _try_exact_divide(num: CyclotomicInt, den: CyclotomicInt) -> CyclotomicInt | None:
-    """num/den in Z[xi] if the quotient is integral, else None.
-
-    Inverts den modulo the r-th cyclotomic polynomial over the rationals
-    (extended Euclid), multiplies, and checks integrality."""
-    r = num.r
-    phi = [Fraction(1)] * r
-    g = _q_trim(_as_q_poly(den))
-    if not g:
-        raise ZeroDivisionError("division by zero in Z[xi]")
-    # extended Euclid for u with u*g = 1 mod phi
-    r0, r1 = phi, g
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while _q_trim(r1[:]):
-        q, rem = _q_divmod(r0, r1)
-        r0, r1 = r1, rem
-        prod = [Fraction(0)] * (len(q) + len(s1))
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    prod[i + j] += qc * sc
-        s0, s1 = s1, _q_trim([a - b for a, b in zip(s0 + [Fraction(0)] * len(prod), prod + [Fraction(0)] * len(s0))])
-    if len(r0) != 1:
-        raise ZeroDivisionError("denominator is a zero divisor mod the cyclotomic polynomial")
-    scale = 1 / r0[0]
-    u = [c * scale for c in s0]
-    f = _as_q_poly(num)
-    prod = [Fraction(0)] * (len(f) + len(u))
-    for i, fc in enumerate(f):
-        if fc:
-            for j, uc in enumerate(u):
-                prod[i + j] += fc * uc
-    _, rem = _q_divmod(prod, phi)
-    rem += [Fraction(0)] * (r - 1 - len(rem))
-    if any(c.denominator != 1 for c in rem):
-        return None
-    return CyclotomicInt(r, tuple(int(c) for c in rem[: r - 1]))
-
-
 def f_unknot(rs: RootSystem, r: int, sign: int = 1) -> tuple[CyclotomicInt, CyclotomicInt]:
     """Unknot normalization value as an exact (numerator, denominator)
-    pair: gamma over prod(1 - xi^(alpha|rho)), conjugated for sign -1.
-    When the quotient lies in Z[xi] the denominator returned is 1."""
+    pair: gamma over prod(1 - xi^(beta|rho)) over the positive roots beta,
+    conjugated for sign -1.  The quotient always lies in Z[xi], so the
+    denominator returned is 1.
+
+    Each factor 1 - xi^e, e = (beta|rho) * sign, is the Galois twist of
+    1 - xi by e, so the quotient is a chain of |Phi+| exact O(r) divisions
+    by (1 - xi) between twists.  The chain cannot fail: for prime
+    r > d*h_dual the Gram form is nondegenerate mod r, so gamma times its
+    conjugate is r^l and gamma has (1 - xi)-adic valuation l(r-1)/2, at
+    least |Phi+| = l*h/2 because r > h."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     _require_admissible_size(rs, r)
-    gamma = gauss_sum(rs, r)
+    quotient = gauss_sum(rs, r)
     if sign == -1:
-        gamma = gamma.conjugate()
-    den = CyclotomicInt.one(r)
+        quotient = quotient.conjugate()
     for beta in rs.positive_roots:
         e = int(rs.bilinear(beta, rs.rho_coords)) * sign
-        factor = make(r, [(0, 1), (e % r, -1)])
-        if factor.is_zero:
-            raise ZeroDivisionError("vanishing factor in the unknot denominator")
-        den = den * factor
-    exact = _try_exact_divide(gamma, den)
-    if exact is not None:
-        return exact, CyclotomicInt.one(r)
-    return gamma, den
+        try:
+            quotient = divide_by_one_minus_xi_power(quotient, e)
+        except NotDivisibleError as exc:
+            raise AssertionError("unknot normalization left Z[xi]") from exc  # unreachable
+    return quotient, CyclotomicInt.one(r)
 
 
 def verify_gauss_magnitude(rs: RootSystem, r: int, tol: float = 1e-9) -> bool:

@@ -174,9 +174,9 @@ def eta(p: int) -> HalfLaurent:
 # ---------------------------------------------------------------------------
 # modular reduction
 
-def _clear_to_fp_vector(f: HalfLaurent, p: int) -> list[int]:
-    """Coefficients of s^(-min_exp) * f over GF(p), index = s-degree."""
-    shift = -f.min_exp
+def _clear_to_fp_vector(f: HalfLaurent, p: int, shift: int) -> list[int]:
+    """Coefficients of s^shift * f over GF(p), index = s-degree; shift
+    must be at least -min_exp."""
     out = [0] * (f.max_exp + shift + 1)
     for k, c in f.terms:
         out[k + shift] = c % p
@@ -195,7 +195,7 @@ def reduce_mod(f: HalfLaurent, p: int, g: HalfLaurent) -> HalfLaurent:
         raise ValueError(f"p must be prime, got {p}")
     if g.is_zero:
         raise ValueError("zero generator: reduce coefficients mod p instead")
-    gv = _clear_to_fp_vector(g, p)
+    gv = _clear_to_fp_vector(g, p, -g.min_exp)
     if gv[-1] == 0:
         raise ValueError("generator leading coefficient is not invertible mod p")
     if gv[0] == 0:
@@ -203,16 +203,9 @@ def reduce_mod(f: HalfLaurent, p: int, g: HalfLaurent) -> HalfLaurent:
                          "clearing by a unit power is then unsound")
     if f.is_zero:
         return HalfLaurent.zero()
-    fv = _clear_to_fp_vector(f, p) if f.min_exp < 0 else _dense_mod(f, p)
+    fv = _clear_to_fp_vector(f, p, max(0, -f.min_exp))
     rem = fp_rem(fv, gv, p)
     return HalfLaurent.from_dict({i: c for i, c in enumerate(rem) if c})
-
-
-def _dense_mod(f: HalfLaurent, p: int) -> list[int]:
-    out = [0] * (f.max_exp + 1)
-    for k, c in f.terms:
-        out[k] = c % p
-    return out
 
 
 def congruent_mod(f: HalfLaurent, h: HalfLaurent, p: int, g: HalfLaurent) -> bool:

@@ -2,16 +2,28 @@
 validation for every subcommand."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qperiod.cli import main
 from qperiod.liedata import build_root_system, gauss_report, gauss_report_from_json
-from qperiod.linkdiag import congruence_from_json, murasugi_check, parse_braid
+from qperiod.linkdiag import (
+    BraidWord,
+    closure,
+    congruence_from_json,
+    murasugi_check,
+    parse_braid,
+    pd_text,
+)
 from qperiod.qpoly import poly_from_json
 from qperiod.tau import (
     discriminant_from_json,
@@ -388,3 +400,106 @@ def test_closed_output_pipe_exits_quietly() -> None:
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any drawn input ends in a report, exit 1 or exit 2, never an
+# uncaught exception
+
+
+def exit_code(argv: list[str]) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+def mostly(valid, invalid):
+    """Draw from valid three times in four, so that most draws get past
+    the argument checks."""
+    return st.one_of(valid, valid, valid, invalid)
+
+
+def letters(n: int) -> list[int]:
+    return [s * k for k in range(1, n) for s in (1, -1)]
+
+
+small_primes = st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47])
+levels = mostly(small_primes, st.integers(-2, 60)).map(str)
+braid_texts = mostly(
+    st.integers(2, 4).flatmap(
+        lambda n: st.lists(st.sampled_from(letters(n)), max_size=6)
+        .map(lambda word: f"strands {n} : " + " ".join(map(str, word)))
+    ),
+    st.one_of(
+        st.builds(
+            lambda n, word: f"strands {n} : " + " ".join(map(str, word)),
+            st.integers(0, 4),
+            st.lists(st.integers(-5, 5), max_size=6),
+        ),
+        st.text(alphabet="strands :-x1", max_size=16),
+    ),
+)
+
+
+@st.composite
+def pd_texts(draw) -> str:
+    """The PD text of a closed braid with at most four crossings, often
+    damaged by dropping a line or adding a drawn one."""
+    n = draw(st.integers(2, 4))
+    word = draw(st.lists(st.sampled_from(letters(n)), max_size=4))
+    lines = pd_text(closure(BraidWord(n, tuple(word)))).splitlines()
+    if lines and draw(st.booleans()):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    extra = draw(st.one_of(
+        st.none(),
+        st.builds(lambda arcs: "X({},{},{},{})".format(*arcs),
+                  st.lists(st.integers(0, 9), min_size=4, max_size=4)),
+        st.builds(lambda arcs: "component " + " ".join(map(str, arcs)),
+                  st.lists(st.integers(0, 9), min_size=1, max_size=4)),
+        st.text(alphabet="X(),component 0123", max_size=12),
+    ))
+    if extra is not None and sum(line.startswith("X") for line in lines) < 4:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["jones", "murasugi", "yokota"]), braid_texts, levels, st.booleans())
+def test_fuzz_braid_commands_exit_cleanly(command, braid, p, as_json):
+    argv = [command, "--braid", braid] + (["--p", p] if command != "jones" else [])
+    assert exit_code(argv + ["--json"] * as_json) in (0, 1, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["jones", "yokota"]), pd_texts(), levels)
+def test_fuzz_pd_commands_exit_cleanly(command, text, p):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "drawn.pd")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [command, "--pd", path] + (["--p", p] if command == "yokota" else [])
+        assert exit_code(argv) in (0, 1, 2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["gauss", "liedata", "tau"]),
+    mostly(st.sampled_from(list("ABCDG")), st.sampled_from(list("EFH"))),
+    mostly(st.integers(1, 3), st.integers(-1, 7)),
+    levels,
+    st.one_of(st.none(), st.integers(-2, 9).map(str)),
+    mostly(st.sampled_from(["poincare", "brieskorn237", "s3"]), st.just("lens")),
+    st.booleans(),
+)
+def test_fuzz_lie_and_tau_arguments_exit_cleanly(command, family, rank, r, depth, manifold, as_json):
+    # keep the r^rank coset sum of a valid gauss call small
+    assume(command != "gauss" or int(r) ** max(rank, 1) <= 5000)
+    if command == "tau":
+        argv = ["tau", "--manifold", manifold, "--r", r]
+        argv += ["--depth", depth] if depth is not None else []
+    else:
+        argv = [command, "--type", family, "--rank", str(rank)]
+        argv += ["--r", r] if command == "gauss" else []
+    assert exit_code(argv + ["--json"] * as_json) in (0, 1, 2)

@@ -4,7 +4,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qperiod.cyclo as cyclo_module
 from qperiod.cyclo import (
     CyclotomicInt,
     NotDivisibleError,
@@ -12,6 +15,7 @@ from qperiod.cyclo import (
     cyclo_from_json,
     cyclo_to_json,
     divide_by_one_minus_xi,
+    divide_by_one_minus_xi_power,
     ideal_member,
     make,
     ohtsuki_expansion,
@@ -54,6 +58,24 @@ def test_invalid_r_rejected():
         CyclotomicInt.zero(2)
     with pytest.raises(ValueError):
         CyclotomicInt(5, (1, 2, 3))
+
+
+def test_each_ring_is_checked_once(monkeypatch):
+    calls = []
+    real_is_prime = cyclo_module.is_prime
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return real_is_prime(n)
+
+    monkeypatch.setattr(cyclo_module, "is_prime", counting_is_prime)
+    cyclo_module._check_r.cache_clear()
+    for _ in range(3):
+        assert (one_minus_xi(101) * one_minus_xi(101)).epsilon_residue() == 0
+        # a rejected level is not remembered, so it is refused every time
+        with pytest.raises(ValueError):
+            CyclotomicInt.zero(91)
+    assert calls == [101, 91, 91, 91]
 
 
 def test_mixed_ring_rejected():
@@ -180,6 +202,42 @@ def test_divide_inverts_multiplication(r):
     for _ in range(60):
         w = rand_elt(r, rng)
         assert divide_by_one_minus_xi(one_minus_xi(r) * w) == w
+
+
+# an element of Z[xi] at a small prime level, with a twist exponent e
+twisted_cases = st.sampled_from((3, 5, 7, 11, 13, 31)).flatmap(
+    lambda r: st.tuples(
+        st.lists(st.integers(-50, 50), min_size=r - 1, max_size=r - 1).map(
+            lambda cs: CyclotomicInt(r, tuple(cs))
+        ),
+        st.integers(1, r - 1),
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(twisted_cases)
+def test_twisted_division_inverts_multiplication(case):
+    x, e = case
+    r = x.r
+    assert divide_by_one_minus_xi_power(x * make(r, {0: 1, e: -1}), e) == x
+
+
+@settings(max_examples=80, deadline=None)
+@given(twisted_cases)
+def test_twisted_division_rejects_nonmembers(case):
+    x, e = case
+    if x.epsilon_residue() == 0:
+        x = x + 1
+    with pytest.raises(NotDivisibleError):
+        divide_by_one_minus_xi_power(x, e)
+
+
+def test_twisted_division_golden_value_and_zero_exponent():
+    # (1 - xi^6) / (1 - xi^2) = 1 + xi^2 + xi^4
+    assert divide_by_one_minus_xi_power(make(7, {0: 1, 6: -1}), 2) == make(7, {0: 1, 2: 1, 4: 1})
+    with pytest.raises(ValueError):
+        divide_by_one_minus_xi_power(CyclotomicInt.zero(7), 14)
 
 
 def test_expansion_golden_value():

@@ -1,5 +1,7 @@
-"""Root-system construction against classical tables, and the Gauss-sum
-magnitude and ratio laws checked numerically."""
+"""Root-system construction against classical tables, the Gauss-sum
+magnitude and ratio laws checked numerically, and the unknot
+normalization and Weyl order against the brute-force routines they
+replaced."""
 from __future__ import annotations
 
 import random
@@ -9,6 +11,7 @@ import pytest
 
 from qperiod.cyclo import CyclotomicInt, divide_by_one_minus_xi, make, one_minus_xi
 from qperiod.liedata import (
+    RANK_CAPS,
     GaussReport,
     admissible_r,
     build_root_system,
@@ -20,6 +23,7 @@ from qperiod.liedata import (
     verify_gauss_magnitude,
     verify_ratio,
 )
+from qperiod.modular import is_prime
 
 ALL_SYSTEMS = (
     [("A", l) for l in range(1, 7)]
@@ -27,6 +31,22 @@ ALL_SYSTEMS = (
     + [("C", l) for l in range(2, 6)]
     + [("D", 4), ("D", 5), ("F", 4), ("G", 2)]
 )
+
+
+def levels(family: str, rank: int, coset_cap: int) -> list[int]:
+    """Every prime r > d*h_dual with r^rank <= coset_cap."""
+    cs = constants(build_root_system(family, rank))
+    r = cs.d * cs.h_dual + 1
+    out = []
+    while r**rank <= coset_cap:
+        if is_prime(r):
+            out.append(r)
+        r += 1
+    return out
+
+
+# every (system, level) whose Gauss sum has at most 5000 cosets
+SWEEP = [(f, l, r) for f, l in ALL_SYSTEMS for r in levels(f, l, 5000)]
 
 # classical tables: (family, rank) -> (h, h_dual, det_cartan, weyl_order)
 CLASSICAL = {
@@ -74,6 +94,36 @@ def test_positive_root_count_is_rank_times_h_over_two(family, rank):
     rs = build_root_system(family, rank)
     cs = constants(rs)
     assert len(rs.positive_roots) == rank * cs.h // 2
+
+
+def orbit_weyl_order(rs) -> int:
+    """|W| as the size of the Weyl orbit of 2 rho, which is regular, so
+    its stabilizer is trivial; walked by simple reflections."""
+    two_rho = tuple(int(2 * c) for c in rs.rho_coords)
+    orbit = {two_rho}
+    frontier = [two_rho]
+    while frontier:
+        x = frontier.pop()
+        for i in range(rs.rank):
+            y = list(x)
+            y[i] -= rs.pairing(x, i)
+            cand = tuple(y)
+            if cand not in orbit:
+                orbit.add(cand)
+                frontier.append(cand)
+    return len(orbit)
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_weyl_order_from_heights_matches_orbit_walk(family, rank):
+    rs = build_root_system(family, rank)
+    assert constants(rs).weyl_order == orbit_weyl_order(rs)
+
+
+def test_all_supported_systems_are_listed():
+    assert sorted(ALL_SYSTEMS) == sorted(
+        (f, l) for f, (lo, hi) in RANK_CAPS.items() for l in range(lo, hi + 1)
+    )
 
 
 @pytest.mark.parametrize("family,rank", sorted(CLASSICAL))
@@ -186,6 +236,108 @@ def test_f_unknot_fraction_consistency():
             e = int(rs.bilinear(beta, rs.rho_coords))
             prod *= 1 - CyclotomicInt.power(r, e).complex_eval()
         assert abs(lhs - gamma / prod) < 1e-9
+
+
+# reference: the extended Euclid over Fraction that f_unknot divided by
+# before the chain of twisted divisions
+
+
+def _q_trim(f: list[Fraction]) -> list[Fraction]:
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
+def _q_divmod(f: list[Fraction], g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    f = _q_trim(f[:])
+    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
+    inv = 1 / g[-1]
+    while len(f) >= len(g):
+        shift = len(f) - len(g)
+        c = f[-1] * inv
+        q[shift] = c
+        for i, gc in enumerate(g):
+            f[shift + i] -= c * gc
+        _q_trim(f)
+    return _q_trim(q), f
+
+
+def euclid_quotient(num: CyclotomicInt, den: CyclotomicInt) -> CyclotomicInt | None:
+    """num/den in Z[xi] if the quotient is integral, else None: invert den
+    modulo the r-th cyclotomic polynomial over Q by extended Euclid,
+    multiply, and check integrality."""
+    r = num.r
+    phi = [Fraction(1)] * r
+    g = _q_trim([Fraction(c) for c in den.coeffs])
+    r0, r1 = phi, g
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while _q_trim(r1[:]):
+        q, rem = _q_divmod(r0, r1)
+        r0, r1 = r1, rem
+        prod = [Fraction(0)] * (len(q) + len(s1))
+        for i, qc in enumerate(q):
+            if qc:
+                for j, sc in enumerate(s1):
+                    prod[i + j] += qc * sc
+        s0, s1 = s1, _q_trim([a - b for a, b in zip(s0 + [Fraction(0)] * len(prod), prod + [Fraction(0)] * len(s0))])
+    assert len(r0) == 1, "denominator is a zero divisor mod the cyclotomic polynomial"
+    u = [c / r0[0] for c in s0]
+    f = [Fraction(c) for c in num.coeffs]
+    prod = [Fraction(0)] * (len(f) + len(u))
+    for i, fc in enumerate(f):
+        if fc:
+            for j, uc in enumerate(u):
+                prod[i + j] += fc * uc
+    _, rem = _q_divmod(prod, phi)
+    rem += [Fraction(0)] * (r - 1 - len(rem))
+    if any(c.denominator != 1 for c in rem):
+        return None
+    return CyclotomicInt(r, tuple(int(c) for c in rem[: r - 1]))
+
+
+def unknot_factors(rs, sign: int) -> list[int]:
+    return [int(rs.bilinear(beta, rs.rho_coords)) * sign for beta in rs.positive_roots]
+
+
+def times_one_minus_xi_power(x: CyclotomicInt, e: int) -> CyclotomicInt:
+    """x (1 - xi^e) by rotating coordinates, O(r)."""
+    return x - make(x.r, {i + e: c for i, c in enumerate(x.coeffs)})
+
+
+@pytest.mark.parametrize("family,rank,r", [c for c in SWEEP if c[2] < 80])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_f_unknot_matches_euclid_reference(family, rank, r, sign):
+    rs = build_root_system(family, rank)
+    den = CyclotomicInt.one(r)
+    for e in unknot_factors(rs, sign):
+        den = den * make(r, {0: 1, e: -1})
+    gamma = gauss_sum(rs, r)
+    num, one = f_unknot(rs, r, sign)
+    assert one == CyclotomicInt.one(r)
+    assert num == euclid_quotient(gamma if sign == 1 else gamma.conjugate(), den)
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_f_unknot_times_denominator_is_gamma(family, rank):
+    # reaches A1 up to r = 997, where the Euclid reference takes seconds
+    # per level
+    rs = build_root_system(family, rank)
+    for r in levels(family, rank, 5000):
+        if r > 1000:
+            break
+        gamma = gauss_sum(rs, r)
+        for sign, want in ((1, gamma), (-1, gamma.conjugate())):
+            num, one = f_unknot(rs, r, sign)
+            assert one == CyclotomicInt.one(r)
+            for e in unknot_factors(rs, sign):
+                num = times_one_minus_xi_power(num, e)
+            assert num == want, (r, sign)
+
+
+def test_euclid_reference_sees_non_integral_quotients():
+    # 1/(1 - xi) is not in Z[xi]; (1 - xi^2)/(1 - xi) = 1 + xi is
+    assert euclid_quotient(CyclotomicInt.one(7), one_minus_xi(7)) is None
+    assert euclid_quotient(make(7, {0: 1, 2: -1}), one_minus_xi(7)) == make(7, {0: 1, 1: 1})
 
 
 def test_f_unknot_rejects_bad_sign():
