@@ -6,7 +6,7 @@ Run as: python3 scripts/reproduce_tables.py
 """
 from __future__ import annotations
 
-from qperiod.cyclo import ohtsuki_expansion
+from qperiod.cyclo import ohtsuki_digits
 from qperiod.tau import (
     obstruction_test,
     period_discriminant,
@@ -31,8 +31,8 @@ def print_table(title: str, header: tuple[str, ...], rows) -> None:
 def coefficient_rows(tau_fn, levels):
     for r in levels:
         x = tau_fn(r).value
-        d = ohtsuki_expansion(x).a
-        dbar = ohtsuki_expansion(twist_conjugate(x, -12)).a
+        d = ohtsuki_digits(x, 3)
+        dbar = ohtsuki_digits(twist_conjugate(x, -12), 3)
         yield (r, d[0], d[1], d[2], d[3], dbar[3])
 
 

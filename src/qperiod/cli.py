@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .cyclo import NotDivisibleError, ohtsuki_expansion
+from .cyclo import NotDivisibleError
 from .liedata import build_root_system, constants, gauss_report
 from .linkdiag import (
     BraidWord,
@@ -34,6 +34,10 @@ from .qpoly import poly_text, poly_to_json
 from .tau import coeff_table, obstruction_test, period_discriminant, tau_for
 
 MANIFOLD_IDS = {"poincare": "poincare", "brieskorn237": "brieskorn_2_3_7", "s3": "s3"}
+
+# a gauss report sums all r^rank cosets four times, about 30 us per coset
+# with Python 3.11 on one Xeon core, so the default allows some 6 s of work
+GAUSS_MAX_COSETS = 200_000
 
 
 def _algebra_name(family: str, rank: int) -> str:
@@ -238,6 +242,12 @@ def _cmd_gauss(args) -> int:
         sub.error(
             f"r = {args.r} must exceed d*h_dual = {bound} for {_algebra_name(args.type, args.rank)}"
         )
+    cosets = args.r**args.rank
+    if cosets > args.max_cosets:
+        sub.error(
+            f"r^rank = {args.r}^{args.rank} = {cosets} cosets exceeds the limit of "
+            f"{args.max_cosets}; raise it with --max-cosets"
+        )
     rep = gauss_report(rs, args.r)
     if args.json:
         return _emit_json(rep.to_json())
@@ -386,6 +396,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("gauss", help="Gauss sum, kernel size, magnitude and ratio checks")
     _add_system(sub, required=True)
     sub.add_argument("--r", type=int, required=True, help="prime level")
+    sub.add_argument(
+        "--max-cosets",
+        type=int,
+        default=GAUSS_MAX_COSETS,
+        metavar="N",
+        help=f"refuse levels with more than N = r^rank cosets (default {GAUSS_MAX_COSETS})",
+    )
     _add_json(sub)
     sub.set_defaults(func=_cmd_gauss, sub=sub)
 

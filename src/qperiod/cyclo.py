@@ -12,6 +12,9 @@ The (1 - xi)-adic expansion writes x as
 
 with each a_n in [0, r).  The digits are produced by alternating the
 coefficient-sum residue map (xi -> 1) with exact division by (1 - xi).
+Both are O(r) on the coordinate vector, so `ohtsuki_digits(x, depth)`
+costs O(depth * r) and the full `ohtsuki_expansion(x)` O(r^2); one
+peeling loop serves both.
 """
 from __future__ import annotations
 
@@ -19,6 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 from .modular import decode_int, encode_int, fp_divides, fp_gcd, fp_trim, is_prime
@@ -262,20 +266,40 @@ class OhtsukiExpansion:
         return out + pw * self.remainder
 
 
-def ohtsuki_expansion(x: CyclotomicInt) -> OhtsukiExpansion:
-    """Peel off r-1 digits of the (1 - xi)-adic expansion of x.
+def _peel(r: int, cur: list[int], count: int) -> list[int]:
+    """Peel count digits off the coordinate vector cur of an element of
+    Z[xi], leaving in cur the cofactor of (1 - xi)^count.
 
-    Each step takes the coefficient-sum residue as the digit and divides the
-    remainder exactly by (1 - xi); the subtraction makes the division legal.
+    Each step takes the coefficient-sum residue a as the digit and divides
+    cur - a exactly by (1 - xi), as in divide_by_one_minus_xi: with
+    c = (sum - a) / r, the quotient's coordinates are the partial sums of
+    cur - a - c * (1 + xi + ... + xi^(r-1)).
     """
-    r = x.r
     digits = []
-    cur = x
-    for _ in range(r - 1):
-        an = cur.epsilon_residue()
+    for _ in range(count):
+        s = sum(cur)
+        an = s % r
         digits.append(an)
-        cur = divide_by_one_minus_xi(cur - an)
-    return OhtsukiExpansion(r, tuple(digits), cur)
+        c = (s - an) // r
+        cur[0] -= an
+        cur[:] = accumulate(v - c for v in cur)
+    return digits
+
+
+def ohtsuki_digits(x: CyclotomicInt, depth: int) -> tuple[int, ...]:
+    """The digits a_0 .. a_depth of the (1 - xi)-adic expansion of x, for
+    0 <= depth <= r-2, in O(depth * r)."""
+    if not 0 <= depth <= x.r - 2:
+        raise ValueError(f"depth must lie in [0, {x.r - 2}]")
+    return tuple(_peel(x.r, list(x.coeffs), depth + 1))
+
+
+def ohtsuki_expansion(x: CyclotomicInt) -> OhtsukiExpansion:
+    """All r-1 digits of the (1 - xi)-adic expansion of x and the
+    remainder, in O(r^2)."""
+    cur = list(x.coeffs)
+    digits = _peel(x.r, cur, x.r - 1)
+    return OhtsukiExpansion(x.r, tuple(digits), CyclotomicInt(x.r, tuple(cur)))
 
 
 def ideal_member(x: CyclotomicInt, p: int, gen: CyclotomicInt) -> bool:

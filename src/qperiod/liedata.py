@@ -274,11 +274,10 @@ def kernel_size(rs: RootSystem, r: int) -> int:
     return r ** (l - rank)
 
 
-def f_unknot(rs: RootSystem, r: int, sign: int = 1) -> tuple[CyclotomicInt, CyclotomicInt]:
-    """Unknot normalization value as an exact (numerator, denominator)
-    pair: gamma over prod(1 - xi^(beta|rho)) over the positive roots beta,
-    conjugated for sign -1.  The quotient always lies in Z[xi], so the
-    denominator returned is 1.
+def f_unknot(rs: RootSystem, r: int, sign: int = 1) -> CyclotomicInt:
+    """Unknot normalization value, exactly: gamma over
+    prod(1 - xi^(beta|rho)) over the positive roots beta, conjugated for
+    sign -1.  The quotient always lies in Z[xi].
 
     Each factor 1 - xi^e, e = (beta|rho) * sign, is the Galois twist of
     1 - xi by e, so the quotient is a chain of |Phi+| exact O(r) divisions
@@ -298,7 +297,7 @@ def f_unknot(rs: RootSystem, r: int, sign: int = 1) -> tuple[CyclotomicInt, Cycl
             quotient = divide_by_one_minus_xi_power(quotient, e)
         except NotDivisibleError as exc:
             raise AssertionError("unknot normalization left Z[xi]") from exc  # unreachable
-    return quotient, CyclotomicInt.one(r)
+    return quotient
 
 
 def verify_gauss_magnitude(rs: RootSystem, r: int, tol: float = 1e-9) -> bool:
@@ -322,10 +321,8 @@ def verify_ratio(rs: RootSystem, r: int, tol: float = 1e-9) -> tuple[bool | None
     exponent = ((r + 1) ** 2 + 2) * Fraction(rho_sq)
     if exponent.denominator != 1:
         raise ValueError(f"exponent ((r+1)^2+2)|rho|^2 = {exponent} is not integral")
-    num, den = f_unknot(rs, r, 1)
-    f_plus = num.complex_eval() / den.complex_eval()
-    num_m, den_m = f_unknot(rs, r, -1)
-    f_minus = num_m.complex_eval() / den_m.complex_eval()
+    f_plus = f_unknot(rs, r, 1).complex_eval()
+    f_minus = f_unknot(rs, r, -1).complex_eval()
     if abs(f_minus) < tol or abs(f_plus) < tol:
         return None, 0
     ratio = f_plus / f_minus

@@ -22,6 +22,13 @@ each binomial factor is a shift and subtract, and the division is an
 exact O(r) running sum along the single cycle of the walk i -> i + n + 1
 (gcd(n+1, r) = 1).  A window costs O(r), so a level costs O(r^2); the
 total is folded into Z[xi] once at the end.
+
+The rest reads only the low Ohtsuki digits, which cost O(r) each: a
+coefficient table to depth d is O(d * r), so the `tau` and `obstruct`
+tables and the discriminant's a_0, a_1, a_3 are O(r) per level, and only
+the full `ohtsuki` table is O(r^2).  The twisted conjugate xi^v conj(x)
+is a re-indexing of coordinates, so the obstruction search over all r
+twists is O(r) integer work per twist.
 """
 from __future__ import annotations
 
@@ -33,7 +40,7 @@ from .cyclo import (
     cyclo_from_json,
     cyclo_to_json,
     make,
-    ohtsuki_expansion,
+    ohtsuki_digits,
 )
 from .liedata import RootSystem, admissible_r, build_root_system, constants
 from .modular import (
@@ -152,15 +159,27 @@ def tau_for(manifold_id: str, r: int) -> TauValue:
 
 def coeff_table(x: CyclotomicInt, depth: int) -> tuple[tuple[int, int], ...]:
     """Rows (n, a_n) of the Ohtsuki expansion of x, n = 0..depth."""
-    if not 0 <= depth <= x.r - 2:
-        raise ValueError(f"depth must lie in [0, {x.r - 2}]")
-    digits = ohtsuki_expansion(x).a
-    return tuple((n, digits[n]) for n in range(depth + 1))
+    return tuple(enumerate(ohtsuki_digits(x, depth)))
 
 
 def twist_conjugate(x: CyclotomicInt, v: int) -> CyclotomicInt:
-    """xi^v times the complex conjugate of x."""
-    return CyclotomicInt.power(x.r, v % x.r) * x.conjugate()
+    """xi^v times the complex conjugate of x: the coefficient of xi^i
+    moves to xi^(v - i), in O(r)."""
+    return make(x.r, ((v - i, c) for i, c in enumerate(x.coeffs)))
+
+
+def _self_twists(x: CyclotomicInt) -> tuple[int, ...]:
+    """Every v in [0, r) with x = xi^v conj(x) mod r, in O(r) per v.
+
+    On the power basis xi^0 .. xi^(r-1), top coordinate 0, the twist t of
+    x has t_j = x_((v - j) mod r), and the congruence says
+    x_j = t_j - t_(r-1) mod r.  At j = v + 1, where t_j = 0, that gives
+    t_(r-1) = x_(v+1) = -t_(r-1), so t_(r-1) = 0 mod r (r is odd) and the
+    congruence is equality of the two residue vectors.
+    """
+    r = x.r
+    pv = [c % r for c in x.coeffs] + [0]
+    return tuple(v for v in range(r) if pv[v::-1] + pv[:v:-1] == pv)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +233,7 @@ def obstruction_test(x: CyclotomicInt, r: int, rs: RootSystem | None = None) -> 
         raise ValueError("x lives at the wrong root of unity")
     depth = min(3, r - 2)
     table = coeff_table(x, depth)
-    found = tuple(v for v in range(r) if (x - twist_conjugate(x, v)).divisible_by(r))
+    found = _self_twists(x)
     twisted = tuple((v, coeff_table(twist_conjugate(x, v), depth)) for v in found)
     if not admissible_r(rs, r):
         verdict = "inadmissible_r"
@@ -330,14 +349,12 @@ def period_discriminant(manifold_id: str, primes) -> DiscriminantReport:
     dropped = []
     for r in prime_list:
         x = tau_for(manifold_id, r).value
-        digits = ohtsuki_expansion(x).a
-        a0, a1, a3 = digits[0], digits[1], digits[3]
+        a0, a1, _, a3 = ohtsuki_digits(x, 3)
         if a0 % r == 0:
             dropped.append(r)
             continue
         v = (-2 * a1 * pow(a0, -1, r)) % r
-        twisted_digits = ohtsuki_expansion(twist_conjugate(x, v)).a
-        delta = (a3 - twisted_digits[3]) % r
+        delta = (a3 - ohtsuki_digits(twist_conjugate(x, v), 3)[3]) % r
         rows.append((r, v, delta))
     if not rows:
         raise ValueError("no usable levels: every prime was dropped")

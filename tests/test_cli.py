@@ -11,10 +11,10 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qperiod.cli import main
+from qperiod.cli import GAUSS_MAX_COSETS, main
 from qperiod.liedata import build_root_system, gauss_report, gauss_report_from_json
 from qperiod.linkdiag import (
     BraidWord,
@@ -340,6 +340,30 @@ def test_gauss_nonprime_r(capsys) -> None:
     assert "r = 9 must be prime" in err
 
 
+def test_gauss_refuses_too_many_cosets_before_work(capsys) -> None:
+    # summing 53^6 cosets would take days, so this returns only if the
+    # refusal comes first
+    code, out, err = run_cli(capsys, ["gauss", "--type", "A", "--rank", "6", "--r", "53"])
+    assert code == 2 and out == ""
+    assert f"53^6 = {53**6} cosets exceeds the limit of {GAUSS_MAX_COSETS}" in err
+    assert "--max-cosets" in err
+
+
+def test_gauss_max_cosets_flag_moves_the_limit(capsys) -> None:
+    argv = ["gauss", "--type", "A", "--rank", "2", "--r", "7", "--json"]
+    code, _, err = run_cli(capsys, argv + ["--max-cosets", "48"])
+    assert code == 2
+    assert "7^2 = 49 cosets exceeds the limit of 48" in err
+    code, out, _ = run_cli(capsys, argv + ["--max-cosets", "49"])
+    assert code == 0
+    assert gauss_report_from_json(json.loads(out)).r == 7
+
+
+def test_gauss_default_limit_admits_documented_calls() -> None:
+    # the largest documented call is gauss --type A --rank 5 --r 11
+    assert 11**5 <= GAUSS_MAX_COSETS
+
+
 def test_liedata_g2(capsys) -> None:
     code, out, _ = run_cli(capsys, ["liedata", "--type", "G", "--rank", "2", "--json"])
     assert code == 0
@@ -373,6 +397,19 @@ def test_json_output_is_byte_identical(capsys, argv: list[str]) -> None:
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert first == second
+
+
+def test_reproduce_tables_script_output_is_unchanged() -> None:
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "reproduce_tables.py")],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(root, "tests", "data", "reproduce_tables.txt"), "rb") as fh:
+        assert proc.stdout == fh.read()
 
 
 def test_installed_entry_point() -> None:
@@ -494,12 +531,39 @@ def test_fuzz_pd_commands_exit_cleanly(command, text, p):
     st.booleans(),
 )
 def test_fuzz_lie_and_tau_arguments_exit_cleanly(command, family, rank, r, depth, manifold, as_json):
-    # keep the r^rank coset sum of a valid gauss call small
-    assume(command != "gauss" or int(r) ** max(rank, 1) <= 5000)
     if command == "tau":
         argv = ["tau", "--manifold", manifold, "--r", r]
         argv += ["--depth", depth] if depth is not None else []
     else:
         argv = [command, "--type", family, "--rank", str(rank)]
-        argv += ["--r", r] if command == "gauss" else []
+        # a small limit keeps the coset sum of a valid gauss call fast
+        argv += ["--r", r, "--max-cosets", "5000"] if command == "gauss" else []
+    assert exit_code(argv + ["--json"] * as_json) in (0, 1, 2)
+
+
+prime_lists = st.one_of(
+    st.lists(mostly(small_primes, st.integers(-3, 60)), max_size=6).map(
+        lambda ps: ",".join(map(str, ps))
+    ),
+    st.text(alphabet="0123456789,- x", max_size=12),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["obstruct", "ohtsuki", "discriminant"]),
+    mostly(st.sampled_from(["poincare", "brieskorn237", "s3"]), st.just("lens")),
+    levels,
+    st.one_of(st.none(), st.integers(-2, 61).map(str)),
+    prime_lists,
+    st.booleans(),
+)
+def test_fuzz_manifold_commands_exit_cleanly(command, manifold, r, depth, primes, as_json):
+    argv = [command, "--manifold", manifold]
+    if command == "discriminant":
+        argv += ["--primes", primes]
+    else:
+        argv += ["--r", r]
+    if command == "ohtsuki" and depth is not None:
+        argv += ["--depth", depth]
     assert exit_code(argv + ["--json"] * as_json) in (0, 1, 2)

@@ -18,9 +18,11 @@ from qperiod.cyclo import (
     divide_by_one_minus_xi_power,
     ideal_member,
     make,
+    ohtsuki_digits,
     ohtsuki_expansion,
     one_minus_xi,
 )
+from qperiod.modular import is_prime
 
 RS = (5, 7, 11)
 
@@ -265,6 +267,31 @@ def test_expansion_digits_well_defined_mod_r(r):
     for _ in range(30):
         x, z = rand_elt(r, rng), rand_elt(r, rng)
         assert ohtsuki_expansion(x).a == ohtsuki_expansion(x + z * r).a
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([p for p in range(3, 62) if is_prime(p)]).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.lists(st.integers(-(10**30), 10**30) | st.integers(-9, 9),
+                     min_size=r - 1, max_size=r - 1),
+        )
+    )
+)
+def test_ohtsuki_digits_match_full_expansion(data):
+    # the truncated peel agrees with the full expansion at every depth
+    r, coeffs = data
+    x = CyclotomicInt(r, tuple(coeffs))
+    full = ohtsuki_expansion(x).a
+    for depth in range(r - 1):
+        assert ohtsuki_digits(x, depth) == full[: depth + 1]
+
+
+@pytest.mark.parametrize("depth", (-1, 6, 100))
+def test_ohtsuki_digits_rejects_depth_out_of_range(depth):
+    with pytest.raises(ValueError, match="depth"):
+        ohtsuki_digits(CyclotomicInt.one(7), depth)
 
 
 @pytest.mark.parametrize("r", (3, 5, 7, 11, 13))

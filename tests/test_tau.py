@@ -36,6 +36,12 @@ def digits(x: CyclotomicInt) -> tuple[int, ...]:
     return ohtsuki_expansion(x).a
 
 
+def reference_twist(x: CyclotomicInt, v: int) -> CyclotomicInt:
+    """xi^v conj(x) as a Z[xi] product: the multiply that twist_conjugate's
+    re-indexing replaced, kept as its reference."""
+    return CyclotomicInt.power(x.r, v % x.r) * x.conjugate()
+
+
 # ---------------------------------------------------------------------------
 # the invariants themselves
 
@@ -247,6 +253,60 @@ def test_constructed_symmetric_element_is_admitted(data) -> None:
     rep = obstruction_test(x, r, A1)
     assert v in rep.admissible_v
     assert rep.verdict == "not_obstructed"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([p for p in range(3, 62) if is_prime(p)]).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.lists(st.integers(-(10**30), 10**30) | st.integers(-9, 9),
+                     min_size=r - 1, max_size=r - 1),
+            st.integers(-3 * r, 3 * r) | st.integers(-(10**20), 10**20),
+        )
+    )
+)
+def test_twist_conjugate_matches_product_reference(data) -> None:
+    r, coeffs, v = data
+    x = CyclotomicInt(r, tuple(coeffs))
+    assert twist_conjugate(x, v) == reference_twist(x, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([p for p in range(5, 42) if is_prime(p)]).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.lists(st.integers(-50, 50), min_size=r - 1, max_size=r - 1),
+            st.integers(0, r - 1),
+            st.lists(st.integers(-3, 3), min_size=r - 1, max_size=r - 1),
+        )
+    )
+)
+def test_obstruction_search_matches_brute_force_on_symmetric_elements(data) -> None:
+    # x = y + xi^v conj(y) + r z admits v and possibly more twists; the
+    # search must find exactly those the reference products admit
+    r, y_coeffs, v, z_coeffs = data
+    y = CyclotomicInt(r, tuple(y_coeffs))
+    x = y + reference_twist(y, v) + CyclotomicInt(r, tuple(z_coeffs)) * r
+    want = tuple(u for u in range(r) if (x - reference_twist(x, u)).divisible_by(r))
+    assert v in want
+    assert obstruction_test(x, r, A1).admissible_v == want
+
+
+@pytest.mark.parametrize("manifold", sorted(FRONTS))
+@pytest.mark.parametrize("r", [r for r in range(5, 140) if is_prime(r)])
+def test_obstruction_matches_brute_force_search(r: int, manifold: str) -> None:
+    # the re-indexed search finds exactly the twists that the Z[xi]
+    # products of the reference admit, with the same tables
+    x = tau_for(manifold, r).value
+    want = tuple(v for v in range(r) if (x - reference_twist(x, v)).divisible_by(r))
+    rep = obstruction_test(x, r, A1)
+    assert rep.admissible_v == want
+    depth = min(3, r - 2)
+    assert rep.twisted_tables == tuple(
+        (v, tuple(enumerate(digits(reference_twist(x, v))[: depth + 1]))) for v in want
+    )
 
 
 # ---------------------------------------------------------------------------
