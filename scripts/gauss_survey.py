@@ -6,8 +6,7 @@ Run as: python3 scripts/gauss_survey.py
 """
 from __future__ import annotations
 
-from qperiod.liedata import RANK_CAPS, build_root_system, constants, gauss_report
-from qperiod.modular import is_prime
+from qperiod.liedata import RANK_CAPS, admissible_r, build_root_system, constants, gauss_report
 
 COSET_CAP = 200_000
 
@@ -17,7 +16,7 @@ def small_admissible_levels(rs, count: int = 2):
     found = []
     r = cs.d * cs.h_dual + 1
     while len(found) < count and r ** rs.rank <= COSET_CAP:
-        if is_prime(r) and (cs.det_cartan * cs.weyl_order) % r != 0:
+        if admissible_r(rs, r):
             found.append(r)
         r += 1
     return found
@@ -37,7 +36,7 @@ def main() -> None:
                         rep.ker_size,
                         rep.group_size,
                         "ok" if rep.magnitude_ok else "BAD",
-                        "ok" if rep.ratio_ok else "indeterminate",
+                        "ok" if rep.ratio_ok else "BAD",
                         rep.omega_sign if rep.ratio_ok else "-",
                     )
                 )

@@ -20,7 +20,6 @@ from .liedata import build_root_system, constants, gauss_report
 from .linkdiag import (
     BraidWord,
     CrossingLimitError,
-    closure,
     jones,
     jones_of_braid,
     murasugi_check,
@@ -68,10 +67,27 @@ def _require_prime(sub: argparse.ArgumentParser, name: str, n: int) -> None:
         sub.error(f"{name} = {n} must be prime")
 
 
-def _require_tau_level(sub: argparse.ArgumentParser, r: int) -> None:
-    _require_prime(sub, "r", r)
-    if r <= 4:
-        sub.error(f"r = {r} must exceed d*h_dual = 4 for sl2")
+def _manifold_at_level(args) -> str:
+    """The manifold id of --manifold, once --r is a level for it: any prime
+    for s3, a prime above d*h_dual = 4 for the others."""
+    mid = MANIFOLD_IDS[args.manifold]
+    _require_prime(args.sub, "r", args.r)
+    if mid != "s3" and args.r <= 4:
+        args.sub.error(f"r = {args.r} must exceed d*h_dual = 4 for sl2")
+    return mid
+
+
+def _depth(args, default: int) -> int:
+    depth = default if args.depth is None else args.depth
+    if not 0 <= depth <= args.r - 2:
+        args.sub.error(f"depth = {depth} must lie in [0, r-2] = [0, {args.r - 2}]")
+    return depth
+
+
+def _require_odd_prime_period(args) -> None:
+    _require_prime(args.sub, "p", args.p)
+    if args.p == 2:
+        args.sub.error("p = 2 must be an odd prime")
 
 
 def _build_system(sub: argparse.ArgumentParser, family: str, rank: int):
@@ -95,13 +111,25 @@ def _load_braid(sub: argparse.ArgumentParser, text: str) -> BraidWord:
         sub.error(str(exc))
 
 
-def _load_pd(sub: argparse.ArgumentParser, path: str):
+def _load_link(args):
+    """The BraidWord of --braid or the PlanarDiagram read from --pd."""
+    if args.braid is not None:
+        return _load_braid(args.sub, args.braid)
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(args.pd, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        sub.error(f"cannot read {path}: {exc}")
+        args.sub.error(f"cannot read {args.pd}: {exc}")
     return parse_pd(text)
+
+
+def _report_congruence(name: str, args, rep) -> int:
+    if args.json:
+        return _emit_json(rep.to_json())
+    print(f"{name} p={args.p} {'PASS' if rep.passed else 'FAIL'}")
+    if not rep.passed:
+        print(f"residual {poly_text(rep.residual)}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +137,8 @@ def _load_pd(sub: argparse.ArgumentParser, path: str):
 
 
 def _cmd_tau(args) -> int:
-    sub = args.sub
-    mid = MANIFOLD_IDS[args.manifold]
-    if mid == "s3":
-        _require_prime(sub, "r", args.r)
-    else:
-        _require_tau_level(sub, args.r)
-    depth = min(3, args.r - 2) if args.depth is None else args.depth
-    if not 0 <= depth <= args.r - 2:
-        sub.error(f"depth = {depth} must lie in [0, r-2] = [0, {args.r - 2}]")
+    mid = _manifold_at_level(args)
+    depth = _depth(args, min(3, args.r - 2))
     value = tau_for(mid, args.r)
     rows = coeff_table(value.value, depth)
     if args.json:
@@ -131,13 +152,8 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_obstruct(args) -> int:
-    sub = args.sub
-    mid = MANIFOLD_IDS[args.manifold]
-    if mid == "s3":
-        _require_prime(sub, "r", args.r)
-    else:
-        _require_tau_level(sub, args.r)
-    rs = _build_system(sub, args.type, args.rank)
+    mid = _manifold_at_level(args)
+    rs = _build_system(args.sub, args.type, args.rank)
     rep = obstruction_test(tau_for(mid, args.r).value, args.r, rs)
     if args.json:
         return _emit_json(rep.to_json(mid))
@@ -171,15 +187,8 @@ def _cmd_discriminant(args) -> int:
 
 
 def _cmd_ohtsuki(args) -> int:
-    sub = args.sub
-    mid = MANIFOLD_IDS[args.manifold]
-    if mid == "s3":
-        _require_prime(sub, "r", args.r)
-    else:
-        _require_tau_level(sub, args.r)
-    depth = args.r - 2 if args.depth is None else args.depth
-    if not 0 <= depth <= args.r - 2:
-        sub.error(f"depth = {depth} must lie in [0, r-2] = [0, {args.r - 2}]")
+    mid = _manifold_at_level(args)
+    depth = _depth(args, args.r - 2)
     x = tau_for(mid, args.r).value
     rows = coeff_table(x, depth)
     if args.json:
@@ -190,11 +199,8 @@ def _cmd_ohtsuki(args) -> int:
 
 
 def _cmd_jones(args) -> int:
-    sub = args.sub
-    if args.braid is not None:
-        v = jones_of_braid(_load_braid(sub, args.braid))
-    else:
-        v = jones(_load_pd(sub, args.pd))
+    link = _load_link(args)
+    v = jones_of_braid(link) if isinstance(link, BraidWord) else jones(link)
     if args.json:
         return _emit_json(poly_to_json(v))
     print(poly_text(v))
@@ -202,35 +208,19 @@ def _cmd_jones(args) -> int:
 
 
 def _cmd_murasugi(args) -> int:
-    sub = args.sub
-    _require_prime(sub, "p", args.p)
-    if args.p == 2:
-        sub.error("p = 2 must be an odd prime")
-    b = _load_braid(sub, args.braid)
-    rep = murasugi_check(b, args.p)
-    if args.json:
-        return _emit_json(rep.to_json())
-    print(f"murasugi p={args.p} {'PASS' if rep.passed else 'FAIL'}")
-    if not rep.passed:
-        print(f"residual {poly_text(rep.residual)}")
-    return 0
+    _require_odd_prime_period(args)
+    b = _load_braid(args.sub, args.braid)
+    return _report_congruence("murasugi", args, murasugi_check(b, args.p))
 
 
 def _cmd_yokota(args) -> int:
-    sub = args.sub
-    _require_prime(sub, "p", args.p)
-    if args.p == 2:
-        sub.error("p = 2 must be an odd prime")
-    if args.braid is not None:
-        rep = yokota_check_braid(_load_braid(sub, args.braid), args.p)
+    _require_odd_prime_period(args)
+    link = _load_link(args)
+    if isinstance(link, BraidWord):
+        rep = yokota_check_braid(link, args.p)
     else:
-        rep = yokota_check(_load_pd(sub, args.pd), args.p)
-    if args.json:
-        return _emit_json(rep.to_json())
-    print(f"yokota p={args.p} {'PASS' if rep.passed else 'FAIL'}")
-    if not rep.passed:
-        print(f"residual {poly_text(rep.residual)}")
-    return 0
+        rep = yokota_check(link, args.p)
+    return _report_congruence("yokota", args, rep)
 
 
 def _cmd_gauss(args) -> int:
@@ -314,6 +304,12 @@ def _add_json(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--json", action="store_true", help="emit a JSON report instead of a table")
 
 
+def _add_link_source(sub: argparse.ArgumentParser) -> None:
+    src = sub.add_mutually_exclusive_group(required=True)
+    src.add_argument("--braid", help='braid word, e.g. "strands 2 : 1 1 1"')
+    src.add_argument("--pd", metavar="FILE", help="planar diagram file")
+
+
 def _add_system(sub: argparse.ArgumentParser, required: bool) -> None:
     sub.add_argument(
         "--type",
@@ -373,9 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_ohtsuki, sub=sub)
 
     sub = subs.add_parser("jones", help="Jones polynomial of a braid closure or diagram")
-    src = sub.add_mutually_exclusive_group(required=True)
-    src.add_argument("--braid", help='braid word, e.g. "strands 2 : 1 1 1"')
-    src.add_argument("--pd", metavar="FILE", help="planar diagram file")
+    _add_link_source(sub)
     _add_json(sub)
     sub.set_defaults(func=_cmd_jones, sub=sub)
 
@@ -386,9 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=_cmd_murasugi, sub=sub)
 
     sub = subs.add_parser("yokota", help="Jones self-congruence test at an odd prime period")
-    src = sub.add_mutually_exclusive_group(required=True)
-    src.add_argument("--braid", help='braid word, e.g. "strands 2 : 1 1 1"')
-    src.add_argument("--pd", metavar="FILE", help="planar diagram file")
+    _add_link_source(sub)
     sub.add_argument("--p", type=int, required=True, help="odd prime period")
     _add_json(sub)
     sub.set_defaults(func=_cmd_yokota, sub=sub)

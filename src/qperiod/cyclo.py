@@ -18,14 +18,12 @@ peeling loop serves both.
 """
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Mapping
 
-from .modular import decode_int, encode_int, fp_divides, fp_gcd, fp_trim, is_prime
+from .modular import encode_int, is_prime
 
 
 class NotDivisibleError(ValueError):
@@ -108,14 +106,20 @@ class CyclotomicInt:
         if isinstance(other, int):
             return CyclotomicInt(self.r, tuple(other * a for a in self.coeffs))
         self._check_same_ring(other)
+        # Kronecker substitution: pack each factor's power-basis vector as
+        # the base-2^(8 * width) digits of one integer, so that a single
+        # big-integer product (Karatsuba) carries every convolution sum.
+        # Each vector is first shifted by its minimum, a multiple of
+        # 1 + xi + ... + xi^(r-1) = 0, so every digit is nonnegative, and
+        # width bytes hold each factor's digits and any convolution sum.
         r = self.r
+        a, b = _nonnegative_powers(self), _nonnegative_powers(other)
+        width = (max(1, *a) * max(1, *b) * r).bit_length() // 8 + 1
+        packed = _pack(a, width) * _pack(b, width)
+        digits = packed.to_bytes(2 * r * width, "little")
         acc = [0] * r
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    acc[(i + j) % r] += a * b
+        for k in range(2 * r - 1):
+            acc[k % r] += int.from_bytes(digits[k * width:(k + 1) * width], "little")
         return _fold_power_vector(r, acc)
 
     __rmul__ = __mul__
@@ -154,13 +158,6 @@ class CyclotomicInt:
             raise ValueError("divisor must be a positive integer")
         return all(c % m == 0 for c in self.coeffs)
 
-    def complex_eval(self, which_root: int = 1) -> complex:
-        """Numeric image under xi -> exp(2 pi i k / r), gcd(k, r) = 1."""
-        if math.gcd(which_root, self.r) != 1:
-            raise ValueError("which_root must be invertible mod r")
-        w = 2j * cmath.pi * which_root / self.r
-        return sum(c * cmath.exp(w * i) for i, c in enumerate(self.coeffs))
-
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -177,6 +174,16 @@ class CyclotomicInt:
             else:
                 parts.append(f"{c}*xi^{i}")
         return " + ".join(parts) if parts else "0"
+
+
+def _nonnegative_powers(x: CyclotomicInt) -> list[int]:
+    """Coordinates of x on the power basis xi^0 .. xi^(r-1), all >= 0."""
+    low = min(0, *x.coeffs)
+    return [c - low for c in x.coeffs] + [-low]
+
+
+def _pack(v: list[int], width: int) -> int:
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in v), "little")
 
 
 def _fold_power_vector(r: int, acc: list[int]) -> CyclotomicInt:
@@ -302,57 +309,9 @@ def ohtsuki_expansion(x: CyclotomicInt) -> OhtsukiExpansion:
     return OhtsukiExpansion(x.r, tuple(digits), CyclotomicInt(x.r, tuple(cur)))
 
 
-def ideal_member(x: CyclotomicInt, p: int, gen: CyclotomicInt) -> bool:
-    """Whether x lies in the ideal (p, gen) of Z[xi].
-
-    Modulo p the ring becomes GF(p)[T] / (1 + T + ... + T^(r-1)), where the
-    ideal generated by gen is principal with generator
-    g = gcd(gen, 1 + T + ... + T^(r-1)); membership is divisibility by g.
-    A constant gcd means the ideal is the whole ring mod p, and a zero
-    generator leaves the pure congruence x = 0 mod p.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    x._check_same_ring(gen)
-    r = x.r
-    phi = [1] * r
-    gen_p = fp_trim(list(gen.coeffs), p)
-    x_p = fp_trim(list(x.coeffs), p)
-    g = fp_gcd(phi, gen_p, p)
-    if len(g) == 1:
-        return True
-    return fp_divides(g, x_p, p)
-
-
-def binomial_expansion_identity(r: int) -> bool:
-    """Check 1 + T + ... + T^(r-1) = sum_{k=1}^{r} C(r, k) (T - 1)^(k-1)
-    as an exact identity in Z[T]."""
-    lhs = [1] * r
-    rhs = [0] * r
-    pw = [1]  # (T - 1)^(k-1)
-    for k in range(1, r + 1):
-        cc = math.comb(r, k)
-        for i, c in enumerate(pw):
-            rhs[i] += cc * c
-        nxt = [0] * (len(pw) + 1)
-        for i, c in enumerate(pw):
-            nxt[i] -= c
-            nxt[i + 1] += c
-        pw = nxt
-    return lhs == rhs
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
 def cyclo_to_json(x: CyclotomicInt) -> dict:
     return {"r": x.r, "coeffs": [encode_int(c) for c in x.coeffs]}
 
-
-def cyclo_from_json(obj: Mapping) -> CyclotomicInt:
-    try:
-        r = decode_int(obj["r"])
-        coeffs = tuple(decode_int(c) for c in obj["coeffs"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed cyclotomic record: {exc}") from exc
-    return CyclotomicInt(r, coeffs)

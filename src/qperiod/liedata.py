@@ -9,7 +9,6 @@ positive roots then have nonnegative integer coordinates.
 """
 from __future__ import annotations
 
-import cmath
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,6 @@ from math import gcd, lcm
 from .cyclo import (
     CyclotomicInt,
     NotDivisibleError,
-    cyclo_from_json,
     cyclo_to_json,
     divide_by_one_minus_xi_power,
     make,
@@ -300,36 +298,35 @@ def f_unknot(rs: RootSystem, r: int, sign: int = 1) -> CyclotomicInt:
     return quotient
 
 
-def verify_gauss_magnitude(rs: RootSystem, r: int, tol: float = 1e-9) -> bool:
-    """|gamma|^2 = kernel_size * r^l numerically, allowing the vanishing branch."""
-    gamma = complex(gauss_sum(rs, r).complex_eval())
-    if abs(gamma) < tol:
-        return True
-    return abs(abs(gamma) ** 2 - kernel_size(rs, r) * r**rs.rank) < tol
+def verify_gauss_magnitude(rs: RootSystem, r: int) -> bool:
+    """The magnitude law |gamma|^2 = r^l as the identity
+    gamma * conj(gamma) = r^l in Z[xi].
+
+    For prime r > d*h_dual the Gram form is nondegenerate mod r, so
+    kernel_size is 1 and gamma never vanishes."""
+    gamma = gauss_sum(rs, r)
+    return gamma * gamma.conjugate() == CyclotomicInt.from_int(r, r**rs.rank)
 
 
-def verify_ratio(rs: RootSystem, r: int, tol: float = 1e-9) -> tuple[bool | None, int]:
-    """Check F(+)/F(-) = (sign) * xi^(-((r+1)^2+2)|rho|^2) numerically.
+def verify_ratio(rs: RootSystem, r: int) -> tuple[bool, int]:
+    """The ratio law F(+) = omega * xi^(-E) * F(-) in Z[xi], with
+    E = ((r+1)^2+2)|rho|^2 and omega = +-1.
 
-    Returns (True, +-1) when confirmed, (None, 0) when either value is too
-    small to divide (indeterminate), (False, 0) on mismatch.  Raises if
-    the exponent is not an integer, which would require 2r-th roots."""
-    if r == 2:
-        raise ValueError("odd prime required")
+    Returns (True, omega) when one sign makes it an identity and
+    (False, 0) when neither does.  Raises if E is not an integer, which
+    would require 2r-th roots.  Multiplying by xi^(-E) moves the
+    coefficient of xi^i to xi^(i-E), so it is a re-indexing."""
     _require_admissible_size(rs, r)
     rho_sq = rs.bilinear(rs.rho_coords, rs.rho_coords)
     exponent = ((r + 1) ** 2 + 2) * Fraction(rho_sq)
     if exponent.denominator != 1:
         raise ValueError(f"exponent ((r+1)^2+2)|rho|^2 = {exponent} is not integral")
-    f_plus = f_unknot(rs, r, 1).complex_eval()
-    f_minus = f_unknot(rs, r, -1).complex_eval()
-    if abs(f_minus) < tol or abs(f_plus) < tol:
-        return None, 0
-    ratio = f_plus / f_minus
-    target = cmath.exp(-2j * cmath.pi * (int(exponent) % r) / r)
-    if abs(ratio - target) < tol:
+    f_plus = f_unknot(rs, r, 1)
+    f_minus = f_unknot(rs, r, -1)
+    target = make(r, ((i - int(exponent), c) for i, c in enumerate(f_minus.coeffs)))
+    if f_plus == target:
         return True, 1
-    if abs(ratio + target) < tol:
+    if f_plus == -target:
         return True, -1
     return False, 0
 
@@ -369,9 +366,9 @@ class GaussReport:
         }
 
 
-def gauss_report(rs: RootSystem, r: int, tol: float = 1e-9) -> GaussReport:
+def gauss_report(rs: RootSystem, r: int) -> GaussReport:
     gamma = gauss_sum(rs, r)
-    ratio_ok, omega = verify_ratio(rs, r, tol)
+    ratio_ok, omega = verify_ratio(rs, r)
     return GaussReport(
         family=rs.family,
         rank=rs.rank,
@@ -379,23 +376,8 @@ def gauss_report(rs: RootSystem, r: int, tol: float = 1e-9) -> GaussReport:
         gamma=gamma,
         ker_size=kernel_size(rs, r),
         group_size=r**rs.rank,
-        magnitude_ok=verify_gauss_magnitude(rs, r, tol),
-        ratio_ok=bool(ratio_ok),
+        magnitude_ok=verify_gauss_magnitude(rs, r),
+        ratio_ok=ratio_ok,
         omega_sign=omega,
     )
 
-
-def gauss_report_from_json(obj: dict) -> GaussReport:
-    """Rebuild a report from its serialized form; the group size r^rank
-    is recomputed since it is derived data."""
-    return GaussReport(
-        family=obj["type"],
-        rank=obj["rank"],
-        r=obj["r"],
-        gamma=cyclo_from_json(obj["gamma"]),
-        ker_size=obj["ker"],
-        group_size=obj["r"] ** obj["rank"],
-        magnitude_ok=obj["magnitude_ok"],
-        ratio_ok=obj["ratio_ok"],
-        omega_sign=obj["omega"],
-    )

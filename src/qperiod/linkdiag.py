@@ -27,11 +27,10 @@ periodicity checks fast for words raised to prime powers.
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .modular import is_prime
-from .qpoly import HalfLaurent, eta, poly_from_json, poly_to_json, quantum_integer, reduce_mod
+from .qpoly import HalfLaurent, eta, poly_to_json, quantum_integer, reduce_mod
 
 LOOP_VALUE = HalfLaurent.from_dict({4: -1, -4: -1})  # -A^2 - A^(-2)
 
@@ -392,11 +391,12 @@ def linking_data(d: PlanarDiagram) -> LinkingData:
 # bracket by state sum
 
 
-def kauffman_bracket(d: PlanarDiagram, max_crossings: int = DEFAULT_CROSSING_CAP) -> HalfLaurent:
-    """Direct 2^c state sum; exact, intended for desk-scale diagrams."""
+def kauffman_bracket(d: PlanarDiagram) -> HalfLaurent:
+    """Direct 2^c state sum; exact, intended for desk-scale diagrams, and
+    refused before any work above DEFAULT_CROSSING_CAP crossings."""
     c = len(d.crossings)
-    if c > max_crossings:
-        raise CrossingLimitError(f"{c} crossings exceeds the state-sum cap {max_crossings}")
+    if c > DEFAULT_CROSSING_CAP:
+        raise CrossingLimitError(f"{c} crossings exceeds the state-sum cap {DEFAULT_CROSSING_CAP}")
     arcs = sorted(set(d.arcs))
     idx = {a: i for i, a in enumerate(arcs)}
     n_arcs = len(arcs)
@@ -521,9 +521,9 @@ def _bracket_to_jones(bracket: HalfLaurent, writhe: int) -> HalfLaurent:
     return HalfLaurent.from_dict(out)
 
 
-def jones(d: PlanarDiagram, max_crossings: int = DEFAULT_CROSSING_CAP) -> HalfLaurent:
+def jones(d: PlanarDiagram) -> HalfLaurent:
     """Jones polynomial of an oriented diagram, in the t-normalization."""
-    return _bracket_to_jones(kauffman_bracket(d, max_crossings), sum(d.signs))
+    return _bracket_to_jones(kauffman_bracket(d), sum(d.signs))
 
 
 def jones_of_braid(b: BraidWord) -> HalfLaurent:
@@ -561,16 +561,6 @@ class CongruenceReport:
         }
 
 
-def congruence_from_json(obj: Mapping) -> CongruenceReport:
-    return CongruenceReport(
-        obj["passed"],
-        obj["p"],
-        poly_from_json(obj["lhs"]),
-        poly_from_json(obj["rhs"]),
-        poly_from_json(obj["residual"]),
-    )
-
-
 def murasugi_check(b: BraidWord, p: int) -> CongruenceReport:
     """Compare the closure of b^p against the p-th power of the closure of
     b modulo (p, eta_p(t)); the congruence holds whenever the big link is
@@ -605,12 +595,12 @@ def _yokota_from_jones(v: HalfLaurent, lk_doubled: int, p: int) -> CongruenceRep
     return CongruenceReport(residual.is_zero, p, lhs, rhs, residual)
 
 
-def yokota_check(d: PlanarDiagram, p: int, max_crossings: int = DEFAULT_CROSSING_CAP) -> CongruenceReport:
+def yokota_check(d: PlanarDiagram, p: int) -> CongruenceReport:
     """Self-congruence V(t) = t^(2 lk) V(1/t) mod (p, t^p - 1), a necessary
     condition for p-periodicity; odd primes only."""
     if p == 2 or not is_prime(p):
         raise ValueError(f"need an odd prime period, got {p}")
-    return _yokota_from_jones(jones(d, max_crossings), linking_data(d).total_lk_doubled, p)
+    return _yokota_from_jones(jones(d), linking_data(d).total_lk_doubled, p)
 
 
 def yokota_check_braid(b: BraidWord, p: int) -> CongruenceReport:

@@ -146,12 +146,3 @@ def encode_int(n: int) -> int | str:
     """Render n for JSON: plain int while exact in a double, else decimal text."""
     return n if -_JSON_INT_LIMIT <= n <= _JSON_INT_LIMIT else str(n)
 
-
-def decode_int(v: int | str) -> int:
-    if isinstance(v, bool):
-        raise ValueError("boolean is not an integer field")
-    if isinstance(v, int):
-        return v
-    if isinstance(v, str):
-        return int(v, 10)
-    raise ValueError(f"cannot decode integer from {v!r}")

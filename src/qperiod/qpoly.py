@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .modular import decode_int, encode_int, fp_rem, is_prime
+from .modular import encode_int, fp_rem, is_prime
 
 
 @dataclass(frozen=True)
@@ -213,15 +213,6 @@ def congruent_mod(f: HalfLaurent, h: HalfLaurent, p: int, g: HalfLaurent) -> boo
     return reduce_mod(f - h, p, g).is_zero
 
 
-def remark_identity_check(p: int) -> bool:
-    """Verify (t + 1) eta_p(t) = q^(-p/2) ([2]^p - [2]) under
-    sqrt(q) -> -1/sqrt(t), coefficientwise mod p."""
-    lhs = (HalfLaurent.monomial(2) + 1) * eta(p)
-    two = quantum_integer(2)
-    rhs = (HalfLaurent.monomial(-p) * (two**p - two)).substitute_neg_inv_sqrt()
-    return (lhs - rhs).coeffs_divisible_by(p)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -241,10 +232,3 @@ def poly_text(f: HalfLaurent, var: str = "t") -> str:
 def poly_to_json(f: HalfLaurent, var: str = "t") -> dict:
     return {"var": var, "terms": [[k, encode_int(c)] for k, c in f.terms]}
 
-
-def poly_from_json(obj: Mapping) -> HalfLaurent:
-    try:
-        terms = [(decode_int(k), decode_int(c)) for k, c in obj["terms"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed polynomial record: {exc}") from exc
-    return HalfLaurent.from_dict(terms)

@@ -35,23 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .cyclo import (
-    CyclotomicInt,
-    cyclo_from_json,
-    cyclo_to_json,
-    make,
-    ohtsuki_digits,
-)
+from .cyclo import CyclotomicInt, cyclo_to_json, make, ohtsuki_digits
 from .liedata import RootSystem, admissible_r, build_root_system, constants
-from .modular import (
-    crt_symmetric,
-    decode_int,
-    encode_int,
-    factorize,
-    fp_divides,
-    fp_gcd,
-    is_prime,
-)
+from .modular import crt_symmetric, encode_int, factorize, fp_divides, fp_gcd, is_prime
 
 MANIFOLDS = ("poincare", "brieskorn_2_3_7", "s3")
 
@@ -75,10 +61,6 @@ class TauValue:
 
     def to_json(self) -> dict:
         return {"manifold": self.manifold_id, "r": self.r, "value": cyclo_to_json(self.value)}
-
-
-def tau_value_from_json(obj: dict) -> TauValue:
-    return TauValue(obj["manifold"], obj["r"], cyclo_from_json(obj["value"]))
 
 
 def _require_level(r: int) -> None:
@@ -212,20 +194,6 @@ class ObstructionReport:
         }
 
 
-def obstruction_from_json(obj: dict) -> ObstructionReport:
-    """Rebuild the report from its serialized form.
-
-    The per-twist tables are derived data and not serialized, so they
-    come back empty."""
-    return ObstructionReport(
-        obj["r"],
-        tuple(obj["admissible_v"]),
-        tuple((n, a) for n, a in obj["a"]),
-        (),
-        obj["verdict"],
-    )
-
-
 def obstruction_test(x: CyclotomicInt, r: int, rs: RootSystem | None = None) -> ObstructionReport:
     if rs is None:
         rs = build_root_system("A", 1)
@@ -272,14 +240,15 @@ def quotient_congruence_test(
     half_trace = make(r, {1: 1, r - 1: 1})
     gen = half_trace**p - half_trace
     power = x_m_prime**p
-    # as in ideal_member, membership in (p, gen) is divisibility by
-    # g = gcd(1 + T + ... + T^(r-1), gen) over GF(p); g is the same for every u
+    # modulo p the ring is GF(p)[T] / (1 + T + ... + T^(r-1)), where (gen) is
+    # generated by g = gcd(1 + T + ... + T^(r-1), gen), so membership in
+    # (p, gen) is divisibility by g over GF(p); g is the same for every u
     g = fp_gcd([1] * r, list(gen.coeffs), p)
     found = []
     for u in range(2 * r):
-        shifted = CyclotomicInt.power(r, u % r) * power
-        if u % 2:
-            shifted = -shifted
+        # (-xi)^u * power re-indexes coordinates: xi^i moves to xi^(i+u)
+        sign = -1 if u % 2 else 1
+        shifted = make(r, ((i + u, sign * c) for i, c in enumerate(power.coeffs)))
         if fp_divides(g, list((x_m - shifted).coeffs), p):
             found.append(u)
     return tuple(found)
@@ -313,17 +282,6 @@ class DiscriminantReport:
             "lifted": encode_int(self.lifted),
             "factors": [[p, e] for p, e in self.factorization],
         }
-
-
-def discriminant_from_json(obj: dict) -> DiscriminantReport:
-    return DiscriminantReport(
-        obj["manifold"],
-        obj["rule"],
-        tuple((r, v, d) for r, v, d in obj["residues"]),
-        tuple(obj["dropped"]),
-        decode_int(obj["lifted"]),
-        tuple((p, e) for p, e in obj["factors"]),
-    )
 
 
 def crt_lift(residues, magnitude_bound: int | None = None) -> int:

@@ -2,17 +2,12 @@
 criterion.  Run with -s (or directly as a script) to see the lines."""
 from __future__ import annotations
 
+import json
 import random
 import time
 
-from qperiod.cyclo import (
-    CyclotomicInt,
-    binomial_expansion_identity,
-    cyclo_from_json,
-    cyclo_to_json,
-    make,
-    ohtsuki_expansion,
-)
+from oracles import binomial_expansion_identity, complex_eval, remark_identity_check
+from qperiod.cyclo import CyclotomicInt, cyclo_to_json, make, ohtsuki_expansion
 from qperiod.liedata import build_root_system, gauss_sum, kernel_size, verify_ratio
 from qperiod.linkdiag import (
     BraidWord,
@@ -21,7 +16,7 @@ from qperiod.linkdiag import (
     two_strand_invariant,
     yokota_check_braid,
 )
-from qperiod.qpoly import HalfLaurent, remark_identity_check
+from qperiod.qpoly import HalfLaurent
 from qperiod.tau import (
     obstruction_test,
     period_discriminant,
@@ -139,7 +134,7 @@ def _c08() -> None:
     for family, rank, levels in (("A", 1, (5, 7, 11, 13)), ("A", 2, (5, 7, 11))):
         rs = build_root_system(family, rank)
         for r in levels:
-            z = gauss_sum(rs, r).complex_eval()
+            z = complex_eval(gauss_sum(rs, r))
             want = kernel_size(rs, r) * r**rank
             assert abs(abs(z) ** 2 - want) < 1e-9, f"{family}{rank} r={r}"
 
@@ -172,7 +167,8 @@ def _c10() -> None:
             assert a * b == b * a
             assert a * (b + c) == a * b + a * c
             assert ohtsuki_expansion(a).reconstruct() == a
-            assert cyclo_from_json(cyclo_to_json(a)) == a
+            obj = json.loads(json.dumps(cyclo_to_json(a)))
+            assert make(obj["r"], enumerate(int(c) for c in obj["coeffs"])) == a
     for r in (3, 5, 7, 11, 13):
         assert binomial_expansion_identity(r), f"binomial identity r={r}"
     # skein coherence: positive crossing (trefoil), negative-free smoothing

@@ -15,22 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperiod.cli import GAUSS_MAX_COSETS, main
-from qperiod.liedata import build_root_system, gauss_report, gauss_report_from_json
+from qperiod.cyclo import cyclo_to_json
+from qperiod.liedata import build_root_system, gauss_report
 from qperiod.linkdiag import (
+    DEFAULT_CROSSING_CAP,
     BraidWord,
     closure,
-    congruence_from_json,
+    jones,
     murasugi_check,
     parse_braid,
+    parse_pd,
     pd_text,
 )
-from qperiod.qpoly import poly_from_json
-from qperiod.tau import (
-    discriminant_from_json,
-    obstruction_from_json,
-    period_discriminant,
-    tau_value_from_json,
-)
+from qperiod.qpoly import poly_to_json
+from qperiod.tau import obstruction_test, period_discriminant, tau_for
 
 SUBCOMMANDS = [
     "tau",
@@ -135,10 +133,11 @@ def test_obstruct_unsupported_system_is_usage_error(capsys) -> None:
 
 def test_obstruct_json_reparses_into_report(capsys) -> None:
     _, out, _ = run_cli(capsys, ["obstruct", "--manifold", "brieskorn237", "--r", "7", "--json"])
-    rep = obstruction_from_json(json.loads(out))
-    assert rep.verdict == "not_obstructed"
-    assert rep.admissible_v == (2,)
-    assert rep.r == 7
+    obj = json.loads(out)
+    assert obj == obstruction_test(tau_for("brieskorn_2_3_7", 7).value, 7).to_json("brieskorn_2_3_7")
+    assert obj["verdict"] == "not_obstructed"
+    assert obj["admissible_v"] == [2]
+    assert obj["r"] == 7
 
 
 def test_obstruct_table_mode_mentions_verdict(capsys) -> None:
@@ -156,9 +155,9 @@ def test_tau_json_round_trip(capsys) -> None:
     code, out, _ = run_cli(capsys, ["tau", "--manifold", "poincare", "--r", "5", "--json"])
     assert code == 0
     obj = json.loads(out)
-    val = tau_value_from_json(obj)
-    assert val.manifold_id == "poincare"
-    assert val.value.coeffs == (1, 2, 2, 1)
+    assert obj["manifold"] == "poincare"
+    assert obj["value"] == cyclo_to_json(tau_for("poincare", 5).value)
+    assert obj["value"]["coeffs"] == [1, 2, 2, 1]
     assert obj["a"] == [[0, 1], [1, 1], [2, 0], [3, 4]]
 
 
@@ -174,7 +173,7 @@ def test_tau_table_aligns_columns(capsys) -> None:
 def test_tau_s3_small_prime_allowed(capsys) -> None:
     code, out, _ = run_cli(capsys, ["tau", "--manifold", "s3", "--r", "3", "--json"])
     assert code == 0
-    assert tau_value_from_json(json.loads(out)).value.coeffs == (1, 0)
+    assert json.loads(out)["value"] == {"r": 3, "coeffs": [1, 0]}
 
 
 def test_tau_depth_out_of_range(capsys) -> None:
@@ -209,8 +208,7 @@ def test_discriminant_poincare_json(capsys) -> None:
     obj = json.loads(out)
     assert obj["lifted"] == 480
     assert obj["factors"] == [[2, 5], [3, 1], [5, 1]]
-    rep = discriminant_from_json(obj)
-    assert rep == period_discriminant("poincare", [7, 11, 13, 17])
+    assert obj == period_discriminant("poincare", [7, 11, 13, 17]).to_json()
 
 
 def test_discriminant_brieskorn_table(capsys) -> None:
@@ -249,8 +247,9 @@ def test_jones_pd_file(capsys, tmp_path) -> None:
     path.write_text(TREFOIL_PD, encoding="utf-8")
     code, out, _ = run_cli(capsys, ["jones", "--pd", str(path), "--json"])
     assert code == 0
-    f = poly_from_json(json.loads(out))
-    assert dict(f.terms) == {-8: -1, -6: 1, -2: 1}
+    obj = json.loads(out)
+    assert obj == poly_to_json(jones(parse_pd(TREFOIL_PD)))
+    assert obj["terms"] == [[-8, -1], [-6, 1], [-2, 1]]
 
 
 def test_jones_requires_exactly_one_source(capsys, tmp_path) -> None:
@@ -273,6 +272,16 @@ def test_jones_missing_pd_file_is_usage_error(capsys, tmp_path) -> None:
     assert "cannot read" in err
 
 
+def test_jones_pd_over_the_crossing_cap_is_refused(capsys, tmp_path) -> None:
+    # 2^25 states would take hours, so this returns only if the refusal
+    # comes before any work
+    path = tmp_path / "long.pd"
+    path.write_text(pd_text(closure(BraidWord(2, (1,) * (DEFAULT_CROSSING_CAP + 1)))), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["jones", "--pd", str(path)])
+    assert code == 1 and out == ""
+    assert err == "error: 25 crossings exceeds the state-sum cap 24\n"
+
+
 def test_jones_malformed_pd_content_is_computation_error(capsys, tmp_path) -> None:
     path = tmp_path / "bad.pd"
     path.write_text("X(1,2,2,1)\n", encoding="utf-8")
@@ -287,8 +296,7 @@ def test_murasugi_pass_and_json(capsys) -> None:
     assert "murasugi p=3 PASS" in out
     code, out, _ = run_cli(capsys, ["murasugi", "--braid", "strands 2 : 1", "--p", "3", "--json"])
     assert code == 0
-    rep = congruence_from_json(json.loads(out))
-    assert rep == murasugi_check(parse_braid("strands 2 : 1"), 3)
+    assert json.loads(out) == murasugi_check(parse_braid("strands 2 : 1"), 3).to_json()
 
 
 @pytest.mark.parametrize("p, needle", [(4, "must be prime"), (2, "odd prime")])
@@ -323,9 +331,9 @@ def test_yokota_pd_source(capsys, tmp_path) -> None:
 def test_gauss_report_round_trip(capsys) -> None:
     code, out, _ = run_cli(capsys, ["gauss", "--type", "A", "--rank", "1", "--r", "5", "--json"])
     assert code == 0
-    rep = gauss_report_from_json(json.loads(out))
-    assert rep == gauss_report(build_root_system("A", 1), 5)
-    assert rep.magnitude_ok and rep.ratio_ok and rep.omega_sign in (1, -1)
+    obj = json.loads(out)
+    assert obj == gauss_report(build_root_system("A", 1), 5).to_json()
+    assert obj["magnitude_ok"] and obj["ratio_ok"] and obj["omega"] in (1, -1)
 
 
 def test_gauss_level_too_small_names_hypothesis(capsys) -> None:
@@ -356,7 +364,7 @@ def test_gauss_max_cosets_flag_moves_the_limit(capsys) -> None:
     assert "7^2 = 49 cosets exceeds the limit of 48" in err
     code, out, _ = run_cli(capsys, argv + ["--max-cosets", "49"])
     assert code == 0
-    assert gauss_report_from_json(json.loads(out)).r == 7
+    assert json.loads(out)["r"] == 7
 
 
 def test_gauss_default_limit_admits_documented_calls() -> None:

@@ -1,6 +1,7 @@
 """Cyclotomic-integer arithmetic: golden values, ring axioms, expansions."""
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -8,15 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qperiod.cyclo as cyclo_module
+from oracles import binomial_expansion_identity, complex_eval, ideal_member, schoolbook_product
 from qperiod.cyclo import (
     CyclotomicInt,
     NotDivisibleError,
-    binomial_expansion_identity,
-    cyclo_from_json,
     cyclo_to_json,
     divide_by_one_minus_xi,
     divide_by_one_minus_xi_power,
-    ideal_member,
     make,
     ohtsuki_digits,
     ohtsuki_expansion,
@@ -102,6 +101,21 @@ def test_ring_axioms_random_triples(r):
     assert make(r, {i: 1 for i in range(r)}).is_zero
 
 
+def elements(r: int):
+    coords = st.integers(-(2**70), 2**70) | st.integers(-3, 3)
+    return st.lists(coords, min_size=r - 1, max_size=r - 1).map(lambda c: CyclotomicInt(r, tuple(c)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 13, 47]).flatmap(lambda r: st.tuples(elements(r), elements(r))))
+def test_product_matches_schoolbook(pair):
+    # the packed product against the coordinate double loop, with zero,
+    # small, huge and mixed-sign coordinates
+    x, y = pair
+    assert x * y == schoolbook_product(x, y)
+    assert x * CyclotomicInt.zero(x.r) == CyclotomicInt.zero(x.r)
+
+
 @pytest.mark.parametrize("r", RS)
 def test_canonical_form_is_stable_under_relation(r):
     # adding any multiple of 1 + xi + ... + xi^(r-1) cannot change an element
@@ -169,16 +183,16 @@ def test_complex_eval_on_near_full_sum():
     for r in (5, 7):
         x = make(r, {i: 1 for i in range(r - 1)})
         expect = -cmath.exp(2j * cmath.pi * (r - 1) / r)
-        assert abs(x.complex_eval() - expect) < 1e-12
+        assert abs(complex_eval(x) - expect) < 1e-12
 
 
 def test_complex_eval_respects_galois_choice():
     x = make(7, {1: 1})
     import cmath
 
-    assert abs(x.complex_eval(3) - cmath.exp(2j * cmath.pi * 3 / 7)) < 1e-12
+    assert abs(complex_eval(x, 3) - cmath.exp(2j * cmath.pi * 3 / 7)) < 1e-12
     with pytest.raises(ValueError):
-        x.complex_eval(7)
+        complex_eval(x, 7)
 
 
 # -- division by (1 - xi) and the digit expansion ---------------------------
@@ -360,12 +374,8 @@ def test_ideal_member_validates_inputs():
 
 def test_json_roundtrip_small_and_huge():
     x = make(5, {0: 1, 1: 2**60, 3: -7})
-    obj = cyclo_to_json(x)
-    assert isinstance(obj["coeffs"][1], str)  # beyond 2^53 travels as text
+    obj = json.loads(json.dumps(cyclo_to_json(x)))
+    assert obj["coeffs"][1] == str(2**60)  # beyond 2^53 travels as text
     assert isinstance(obj["coeffs"][0], int)
-    assert cyclo_from_json(obj) == x
-
-
-def test_json_rejects_malformed():
-    with pytest.raises(ValueError):
-        cyclo_from_json({"r": 5})
+    assert obj["r"] == 5
+    assert [int(c) for c in obj["coeffs"]] == list(x.coeffs)

@@ -1,14 +1,17 @@
-"""Root-system construction against classical tables, the Gauss-sum
-magnitude and ratio laws checked numerically, and the unknot
-normalization and Weyl order against the brute-force routines they
-replaced."""
+"""Root-system construction against classical tables, the exact
+Gauss-sum magnitude and ratio laws against a numeric cross-check, and
+the unknot normalization and Weyl order against the brute-force
+routines they replaced."""
 from __future__ import annotations
 
+import cmath
 import random
 from fractions import Fraction
 
 import pytest
 
+import qperiod.liedata as liedata_module
+from oracles import complex_eval
 from qperiod.cyclo import CyclotomicInt, divide_by_one_minus_xi, make, one_minus_xi
 from qperiod.liedata import (
     RANK_CAPS,
@@ -216,8 +219,8 @@ def test_f_unknot_a1_r5_divides_exactly():
 def test_f_unknot_sign_is_conjugation():
     for family, rank, r in [("A", 1, 5), ("A", 1, 7), ("A", 2, 7)]:
         rs = build_root_system(family, rank)
-        value_p = f_unknot(rs, r, 1).complex_eval()
-        value_m = f_unknot(rs, r, -1).complex_eval()
+        value_p = complex_eval(f_unknot(rs, r, 1))
+        value_m = complex_eval(f_unknot(rs, r, -1))
         assert abs(value_m - value_p.conjugate()) < 1e-9
 
 
@@ -225,12 +228,12 @@ def test_f_unknot_fraction_consistency():
     # the quotient must reproduce gamma over the root-pairing product
     for family, rank, r in [("A", 1, 11), ("A", 2, 5), ("A", 2, 11)]:
         rs = build_root_system(family, rank)
-        lhs = f_unknot(rs, r, 1).complex_eval()
-        gamma = gauss_sum(rs, r).complex_eval()
+        lhs = complex_eval(f_unknot(rs, r, 1))
+        gamma = complex_eval(gauss_sum(rs, r))
         prod = 1 + 0j
         for beta in rs.positive_roots:
             e = int(rs.bilinear(beta, rs.rho_coords))
-            prod *= 1 - CyclotomicInt.power(r, e).complex_eval()
+            prod *= 1 - complex_eval(CyclotomicInt.power(r, e))
         assert abs(lhs - gamma / prod) < 1e-9
 
 
@@ -345,6 +348,52 @@ def test_ratio_law_grid(family, rank, r):
     ok, omega = verify_ratio(build_root_system(family, rank), r)
     assert ok is True
     assert omega in (1, -1)
+
+
+# the benchmark's gauss_report set: every supported system at each
+# admissible r < 50 with r^l <= 5000
+ADMISSIBLE_SWEEP = [
+    (f, l, r) for f, l, r in SWEEP if r < 50 and admissible_r(build_root_system(f, l), r)
+]
+
+
+@pytest.mark.parametrize("family,rank,r", ADMISSIBLE_SWEEP)
+def test_exact_laws_agree_with_numeric_cross_check(family, rank, r):
+    rs = build_root_system(family, rank)
+    z = complex_eval(gauss_sum(rs, r))
+    assert verify_gauss_magnitude(rs, r) is (abs(abs(z) ** 2 - r**rank) < 1e-9 * r**rank)
+    ratio = complex_eval(f_unknot(rs, r, 1)) / complex_eval(f_unknot(rs, r, -1))
+    exponent = ((r + 1) ** 2 + 2) * rs.bilinear(rs.rho_coords, rs.rho_coords)
+    target = cmath.exp(-2j * cmath.pi * int(exponent) / r)
+    numeric = [omega for omega in (1, -1) if abs(ratio - omega * target) < 1e-9]
+    assert verify_ratio(rs, r) == ((True, numeric[0]) if numeric else (False, 0))
+
+
+def test_magnitude_law_holds_where_a_float_tolerance_failed():
+    # |gamma|^2 = r^l to within 1e-9 failed in floating point here
+    assert verify_gauss_magnitude(build_root_system("A", 1), 6871)
+    assert verify_gauss_magnitude(build_root_system("A", 2), 167)
+
+
+def test_magnitude_law_fails_on_a_wrong_gauss_sum(monkeypatch):
+    rs = build_root_system("A", 2)
+    exact = gauss_sum
+    assert verify_gauss_magnitude(rs, 7)
+    monkeypatch.setattr(liedata_module, "gauss_sum", lambda rs, r: 2 * exact(rs, r))
+    assert verify_gauss_magnitude(rs, 7) is False
+
+
+def test_ratio_law_fails_on_a_twisted_gauss_sum(monkeypatch):
+    # xi * gamma keeps |gamma| and its divisibility by every 1 - xi^e, so
+    # f_unknot still succeeds, but the ratio picks up a factor xi^2
+    rs = build_root_system("A", 2)
+    exact = gauss_sum
+    assert verify_ratio(rs, 7)[0] is True
+    monkeypatch.setattr(
+        liedata_module, "gauss_sum", lambda rs, r: CyclotomicInt.power(r, 1) * exact(rs, r)
+    )
+    assert verify_gauss_magnitude(rs, 7)
+    assert verify_ratio(rs, 7) == (False, 0)
 
 
 def test_ratio_rejects_small_r():

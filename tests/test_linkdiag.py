@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qperiod.linkdiag import (
+    DEFAULT_CROSSING_CAP,
     BraidWord,
     CrossingLimitError,
     PlanarDiagram,
@@ -155,9 +156,11 @@ def test_bracket_statesum_matches_transfer(nw):
 
 
 def test_crossing_cap():
-    d = closure(braid("strands 2 : 1 1 1"))
-    with pytest.raises(CrossingLimitError):
-        kauffman_bracket(d, max_crossings=2)
+    # 2^25 states would take hours, so this returns only if the refusal
+    # comes before any work
+    d = closure(BraidWord(2, (1,) * (DEFAULT_CROSSING_CAP + 1)))
+    with pytest.raises(CrossingLimitError, match="25 crossings exceeds the state-sum cap 24"):
+        kauffman_bracket(d)
 
 
 # ---------------------------------------------------------------------------

@@ -2,22 +2,22 @@
 modular reduction, and the bridging identity."""
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import remark_identity_check
 from qperiod.qpoly import (
     HalfLaurent,
     congruent_mod,
     eta,
-    poly_from_json,
     poly_text,
     poly_to_json,
     quantum_integer,
     reduce_mod,
-    remark_identity_check,
 )
 
 small_polys = st.dictionaries(
@@ -204,8 +204,7 @@ def test_poly_text_formats():
 
 def test_poly_json_roundtrip():
     f = HalfLaurent.from_dict({-3: 2**60, 0: -1, 4: 7})
-    obj = poly_to_json(f, var="q")
+    obj = json.loads(json.dumps(poly_to_json(f, var="q")))
     assert obj["var"] == "q"
-    assert poly_from_json(obj) == f
-    with pytest.raises(ValueError):
-        poly_from_json({"var": "t"})
+    assert obj["terms"] == [[-3, str(2**60)], [0, -1], [4, 7]]
+    assert HalfLaurent.from_dict((k, int(c)) for k, c in obj["terms"]) == f

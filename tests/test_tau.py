@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qperiod.cyclo import CyclotomicInt, ideal_member, make, ohtsuki_expansion
+from oracles import ideal_member
+from qperiod.cyclo import CyclotomicInt, make, ohtsuki_expansion
 from qperiod.liedata import build_root_system
 from qperiod.tau import (
     DiscriminantReport,
