@@ -6,6 +6,7 @@ Run as: python3 scripts/gauss_survey.py
 """
 from __future__ import annotations
 
+from qperiod.cli import aligned
 from qperiod.liedata import RANK_CAPS, admissible_r, build_root_system, constants, gauss_report
 
 COSET_CAP = 200_000
@@ -40,11 +41,8 @@ def main() -> None:
                         rep.omega_sign if rep.ratio_ok else "-",
                     )
                 )
-    header = ("system", "r", "ker", "group", "magnitude", "ratio", "omega")
-    text_rows = [header] + [tuple(str(c) for c in row) for row in rows]
-    widths = [max(len(row[i]) for row in text_rows) for i in range(len(header))]
-    for row in text_rows:
-        print("  ".join(s.rjust(w) for s, w in zip(row, widths)))
+    for line in aligned(("system", "r", "ker", "group", "magnitude", "ratio", "omega"), rows):
+        print(line)
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ Run as: python3 scripts/reproduce_tables.py
 """
 from __future__ import annotations
 
+from qperiod.cli import aligned, factor_text
 from qperiod.cyclo import ohtsuki_digits
 from qperiod.tau import (
     obstruction_test,
@@ -20,11 +21,9 @@ BRIESKORN_LEVELS = (5, 7, 11, 13, 17)
 
 
 def print_table(title: str, header: tuple[str, ...], rows) -> None:
-    text_rows = [header] + [tuple(str(c) for c in row) for row in rows]
-    widths = [max(len(row[i]) for row in text_rows) for i in range(len(header))]
     print(title)
-    for row in text_rows:
-        print("  " + "  ".join(s.rjust(w) for s, w in zip(row, widths)))
+    for line in aligned(header, rows):
+        print("  " + line)
     print()
 
 
@@ -64,9 +63,8 @@ def main() -> None:
         ("brieskorn_2_3_7", (11, 13, 17, 19)),
     ):
         rep = period_discriminant(name, levels)
-        factors = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in rep.factorization)
         print_table(
-            f"{name} discriminant: lifted = {rep.lifted} = {factors}",
+            f"{name} discriminant: lifted = {rep.lifted} = {factor_text(rep.factorization)}",
             ("r", "v", "delta"),
             rep.residues,
         )

@@ -1,5 +1,13 @@
 """Command-line front end: one binary, one subcommand per checker.
 
+One table, COMMANDS, drives the subcommands.  Its row for a subcommand
+holds the help text, the adders of its arguments, and one function that
+checks the arguments, computes, and returns the JSON report together
+with a callable that renders the text lines.  `build_parser` builds every
+subparser from the table and `main` runs the chosen row; main is the one
+place that prints a report.  A new subcommand is one function that
+returns (report, text) and one more row in COMMANDS.
+
 JSON output (--json) is the scripting contract: field order is fixed, so
 identical inputs produce byte-identical bytes, and integers that do not
 fit exactly in a double travel as decimal strings.  The default table
@@ -14,6 +22,8 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .cyclo import NotDivisibleError
 from .liedata import build_root_system, constants, gauss_report
@@ -38,6 +48,10 @@ MANIFOLD_IDS = {"poincare": "poincare", "brieskorn237": "brieskorn_2_3_7", "s3":
 # with Python 3.11 on one Xeon core, so the default allows some 6 s of work
 GAUSS_MAX_COSETS = 200_000
 
+# what a row's function returns: the JSON report, and its text lines,
+# rendered only for table output
+Report = tuple[dict, Callable[[], list[str]]]
+
 
 def _algebra_name(family: str, rank: int) -> str:
     if family == "A":
@@ -51,15 +65,17 @@ def _algebra_name(family: str, rank: int) -> str:
     return f"{family.lower()}{rank}"
 
 
-def _aligned(header: tuple[str, ...], rows) -> list[str]:
+def aligned(header: tuple[str, ...], rows) -> list[str]:
+    """The header and rows as lines of right-aligned columns, two spaces
+    apart."""
     text_rows = [header] + [tuple(str(c) for c in row) for row in rows]
     widths = [max(len(row[i]) for row in text_rows) for i in range(len(header))]
     return ["  ".join(s.rjust(w) for s, w in zip(row, widths)) for row in text_rows]
 
 
-def _emit_json(obj: dict) -> int:
-    print(json.dumps(obj))
-    return 0
+def factor_text(factorization) -> str:
+    """Prime-power pairs as 'p^e * q * ...', empty for no factors."""
+    return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factorization)
 
 
 def _require_prime(sub: argparse.ArgumentParser, name: str, n: int) -> None:
@@ -67,13 +83,22 @@ def _require_prime(sub: argparse.ArgumentParser, name: str, n: int) -> None:
         sub.error(f"{name} = {n} must be prime")
 
 
+def _require_odd_prime(sub: argparse.ArgumentParser, name: str, n: int) -> None:
+    _require_prime(sub, name, n)
+    if n == 2:
+        sub.error(f"{name} = 2 must be an odd prime")
+
+
 def _manifold_at_level(args) -> str:
-    """The manifold id of --manifold, once --r is a level for it: any prime
-    for s3, a prime above d*h_dual = 4 for the others."""
+    """The manifold id of --manifold, once --r is a level for it: an odd
+    prime for s3, a prime above d*h_dual = 4 for the others."""
     mid = MANIFOLD_IDS[args.manifold]
-    _require_prime(args.sub, "r", args.r)
-    if mid != "s3" and args.r <= 4:
-        args.sub.error(f"r = {args.r} must exceed d*h_dual = 4 for sl2")
+    if mid == "s3":
+        _require_odd_prime(args.sub, "r", args.r)
+    else:
+        _require_prime(args.sub, "r", args.r)
+        if args.r <= 4:
+            args.sub.error(f"r = {args.r} must exceed d*h_dual = 4 for sl2")
     return mid
 
 
@@ -82,12 +107,6 @@ def _depth(args, default: int) -> int:
     if not 0 <= depth <= args.r - 2:
         args.sub.error(f"depth = {depth} must lie in [0, r-2] = [0, {args.r - 2}]")
     return depth
-
-
-def _require_odd_prime_period(args) -> None:
-    _require_prime(args.sub, "p", args.p)
-    if args.p == 2:
-        args.sub.error("p = 2 must be an odd prime")
 
 
 def _build_system(sub: argparse.ArgumentParser, family: str, rank: int):
@@ -123,107 +142,92 @@ def _load_link(args):
     return parse_pd(text)
 
 
-def _report_congruence(name: str, args, rep) -> int:
-    if args.json:
-        return _emit_json(rep.to_json())
-    print(f"{name} p={args.p} {'PASS' if rep.passed else 'FAIL'}")
-    if not rep.passed:
-        print(f"residual {poly_text(rep.residual)}")
-    return 0
+def _congruence(name: str, p: int, rep) -> Report:
+    def text() -> list[str]:
+        if rep.passed:
+            return [f"{name} p={p} PASS"]
+        return [f"{name} p={p} FAIL", f"residual {poly_text(rep.residual)}"]
+
+    return rep.to_json(), text
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommands: check the arguments, compute, return (report, text)
 
 
-def _cmd_tau(args) -> int:
+def _tau(args) -> Report:
     mid = _manifold_at_level(args)
     depth = _depth(args, min(3, args.r - 2))
     value = tau_for(mid, args.r)
     rows = coeff_table(value.value, depth)
-    if args.json:
-        return _emit_json(value.to_json() | {"a": [[n, a] for n, a in rows]})
-    print(f"manifold {mid}")
-    print(f"r {args.r}")
-    print(f"value {value.value}")
-    for line in _aligned(("n", "a_n"), rows):
-        print(line)
-    return 0
+    return value.to_json() | {"a": [[n, a] for n, a in rows]}, lambda: [
+        f"manifold {mid}",
+        f"r {args.r}",
+        f"value {value.value}",
+        *aligned(("n", "a_n"), rows),
+    ]
 
 
-def _cmd_obstruct(args) -> int:
+def _obstruct(args) -> Report:
     mid = _manifold_at_level(args)
     rs = _build_system(args.sub, args.type, args.rank)
     rep = obstruction_test(tau_for(mid, args.r).value, args.r, rs)
-    if args.json:
-        return _emit_json(rep.to_json(mid))
-    print(f"manifold {mid}")
-    print(f"r {args.r}")
-    print(f"verdict {rep.verdict}")
-    print("admissible_v " + (" ".join(str(v) for v in rep.admissible_v) or "(none)"))
-    for line in _aligned(("n", "a_n"), rep.a_table):
-        print(line)
-    return 0
+    return rep.to_json(mid), lambda: [
+        f"manifold {mid}",
+        f"r {args.r}",
+        f"verdict {rep.verdict}",
+        "admissible_v " + (" ".join(str(v) for v in rep.admissible_v) or "(none)"),
+        *aligned(("n", "a_n"), rep.a_table),
+    ]
 
 
-def _cmd_discriminant(args) -> int:
-    sub = args.sub
+def _discriminant(args) -> Report:
     mid = MANIFOLD_IDS[args.manifold]
+    if not args.primes:
+        args.sub.error("--primes is an empty list; give at least one prime level > 4")
     for r in args.primes:
         if not is_prime(r) or r <= 4:
-            sub.error(f"level r = {r} must be a prime > 4")
+            args.sub.error(f"level r = {r} must be a prime > 4")
     rep = period_discriminant(mid, args.primes)
-    if args.json:
-        return _emit_json(rep.to_json())
-    print(f"manifold {mid}")
-    for line in _aligned(("r", "v", "delta"), rep.residues):
-        print(line)
-    if rep.dropped:
-        print("dropped " + " ".join(str(r) for r in rep.dropped))
-    print(f"lifted {rep.lifted}")
-    factors = " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in rep.factorization)
-    print(f"factors {factors or '(none)'}")
-    return 0
+
+    def text() -> list[str]:
+        lines = [f"manifold {mid}", *aligned(("r", "v", "delta"), rep.residues)]
+        if rep.dropped:
+            lines.append("dropped " + " ".join(str(r) for r in rep.dropped))
+        factors = factor_text(rep.factorization) or "(none)"
+        return lines + [f"lifted {rep.lifted}", f"factors {factors}"]
+
+    return rep.to_json(), text
 
 
-def _cmd_ohtsuki(args) -> int:
+def _ohtsuki(args) -> Report:
     mid = _manifold_at_level(args)
     depth = _depth(args, args.r - 2)
-    x = tau_for(mid, args.r).value
-    rows = coeff_table(x, depth)
-    if args.json:
-        return _emit_json({"manifold": mid, "r": args.r, "a": [[n, a] for n, a in rows]})
-    for line in _aligned(("n", "a_n"), rows):
-        print(line)
-    return 0
+    rows = coeff_table(tau_for(mid, args.r).value, depth)
+    report = {"manifold": mid, "r": args.r, "a": [[n, a] for n, a in rows]}
+    return report, lambda: aligned(("n", "a_n"), rows)
 
 
-def _cmd_jones(args) -> int:
+def _jones(args) -> Report:
     link = _load_link(args)
     v = jones_of_braid(link) if isinstance(link, BraidWord) else jones(link)
-    if args.json:
-        return _emit_json(poly_to_json(v))
-    print(poly_text(v))
-    return 0
+    return poly_to_json(v), lambda: [poly_text(v)]
 
 
-def _cmd_murasugi(args) -> int:
-    _require_odd_prime_period(args)
+def _murasugi(args) -> Report:
+    _require_odd_prime(args.sub, "p", args.p)
     b = _load_braid(args.sub, args.braid)
-    return _report_congruence("murasugi", args, murasugi_check(b, args.p))
+    return _congruence("murasugi", args.p, murasugi_check(b, args.p))
 
 
-def _cmd_yokota(args) -> int:
-    _require_odd_prime_period(args)
+def _yokota(args) -> Report:
+    _require_odd_prime(args.sub, "p", args.p)
     link = _load_link(args)
-    if isinstance(link, BraidWord):
-        rep = yokota_check_braid(link, args.p)
-    else:
-        rep = yokota_check(link, args.p)
-    return _report_congruence("yokota", args, rep)
+    check = yokota_check_braid if isinstance(link, BraidWord) else yokota_check
+    return _congruence("yokota", args.p, check(link, args.p))
 
 
-def _cmd_gauss(args) -> int:
+def _gauss(args) -> Report:
     sub = args.sub
     rs = _build_system(sub, args.type, args.rank)
     _require_prime(sub, "r", args.r)
@@ -239,38 +243,22 @@ def _cmd_gauss(args) -> int:
             f"{args.max_cosets}; raise it with --max-cosets"
         )
     rep = gauss_report(rs, args.r)
-    if args.json:
-        return _emit_json(rep.to_json())
-    print(f"type {rep.family}")
-    print(f"rank {rep.rank}")
-    print(f"r {rep.r}")
-    print(f"gamma {rep.gamma}")
-    print(f"ker {rep.ker_size}")
-    print(f"group {rep.group_size}")
-    print(f"magnitude_ok {rep.magnitude_ok}")
-    print(f"ratio_ok {rep.ratio_ok}")
-    print(f"omega {rep.omega_sign}")
-    return 0
+    return rep.to_json(), lambda: [
+        f"type {rep.family}",
+        f"rank {rep.rank}",
+        f"r {rep.r}",
+        f"gamma {rep.gamma}",
+        f"ker {rep.ker_size}",
+        f"group {rep.group_size}",
+        f"magnitude_ok {rep.magnitude_ok}",
+        f"ratio_ok {rep.ratio_ok}",
+        f"omega {rep.omega_sign}",
+    ]
 
 
-def _cmd_liedata(args) -> int:
-    sub = args.sub
-    rs = _build_system(sub, args.type, args.rank)
+def _liedata(args) -> Report:
+    rs = _build_system(args.sub, args.type, args.rank)
     cs = constants(rs)
-    if args.json:
-        return _emit_json(
-            {
-                "type": rs.family,
-                "rank": rs.rank,
-                "d": cs.d,
-                "D": cs.D,
-                "h": cs.h,
-                "h_dual": cs.h_dual,
-                "det": cs.det_cartan,
-                "weyl_order": cs.weyl_order,
-                "positive_roots": len(rs.positive_roots),
-            }
-        )
     rows = [
         ("d", cs.d),
         ("D", cs.D),
@@ -280,15 +268,15 @@ def _cmd_liedata(args) -> int:
         ("weyl_order", cs.weyl_order),
         ("positive_roots", len(rs.positive_roots)),
     ]
-    print(f"type {rs.family}")
-    print(f"rank {rs.rank}")
-    for line in _aligned(("constant", "value"), rows):
-        print(line)
-    return 0
+    return {"type": rs.family, "rank": rs.rank, **dict(rows)}, lambda: [
+        f"type {rs.family}",
+        f"rank {rs.rank}",
+        *aligned(("constant", "value"), rows),
+    ]
 
 
 # ---------------------------------------------------------------------------
-# parser assembly
+# argument adders and the command table
 
 
 def _add_manifold(sub: argparse.ArgumentParser) -> None:
@@ -298,10 +286,6 @@ def _add_manifold(sub: argparse.ArgumentParser) -> None:
         choices=sorted(MANIFOLD_IDS),
         help="which manifold's invariant to use",
     )
-
-
-def _add_json(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", help="emit a JSON report instead of a table")
 
 
 def _add_link_source(sub: argparse.ArgumentParser) -> None:
@@ -327,6 +311,58 @@ def _add_system(sub: argparse.ArgumentParser, required: bool) -> None:
     )
 
 
+def _option(*flags: str, **kwargs) -> Callable[[argparse.ArgumentParser], None]:
+    """The adder of one argument."""
+    return lambda sub: sub.add_argument(*flags, **kwargs)
+
+
+def _depth_option(default: str) -> Callable[[argparse.ArgumentParser], None]:
+    return _option("--depth", type=int, default=None, help=f"last coefficient row (default {default})")
+
+
+_LEVEL = _option("--r", type=int, required=True, help="prime level")
+_PERIOD = _option("--p", type=int, required=True, help="odd prime period")
+_PRIMES = _option(
+    "--primes", type=_parse_primes, required=True, metavar="N,N,...", help="comma-separated prime levels"
+)
+_MAX_COSETS = _option(
+    "--max-cosets",
+    type=int,
+    default=GAUSS_MAX_COSETS,
+    metavar="N",
+    help=f"refuse levels with more than N = r^rank cosets (default {GAUSS_MAX_COSETS})",
+)
+_SYSTEM = partial(_add_system, required=True)
+
+
+class Command(NamedTuple):
+    help: str
+    arguments: tuple[Callable[[argparse.ArgumentParser], None], ...]
+    run: Callable[[argparse.Namespace], Report]
+
+
+# one row per subcommand, in the order that --help lists them
+COMMANDS = {
+    "tau": Command("invariant value and low Ohtsuki coefficients",
+                   (_add_manifold, _LEVEL, _depth_option("3")), _tau),
+    "obstruct": Command("twisted-conjugation periodicity obstruction",
+                        (_add_manifold, _LEVEL, partial(_add_system, required=False)), _obstruct),
+    "discriminant": Command("CRT-lifted period discriminant over prime levels",
+                            (_add_manifold, _PRIMES), _discriminant),
+    "ohtsuki": Command("(1-xi)-adic coefficient table of an invariant",
+                       (_add_manifold, _LEVEL, _depth_option("r-2")), _ohtsuki),
+    "jones": Command("Jones polynomial of a braid closure or diagram", (_add_link_source,), _jones),
+    "murasugi": Command("periodicity congruence for a braid and odd prime",
+                        (_option("--braid", required=True, help='braid word, e.g. "strands 2 : 1"'),
+                         _PERIOD), _murasugi),
+    "yokota": Command("Jones self-congruence test at an odd prime period",
+                      (_add_link_source, _PERIOD), _yokota),
+    "gauss": Command("Gauss sum, kernel size, magnitude and ratio checks",
+                     (_SYSTEM, _LEVEL, _MAX_COSETS), _gauss),
+    "liedata": Command("root system constants", (_SYSTEM,), _liedata),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qperiod",
@@ -334,75 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
         "congruence obstructions to periodicity.",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    sub = subs.add_parser("tau", help="invariant value and low Ohtsuki coefficients")
-    _add_manifold(sub)
-    sub.add_argument("--r", type=int, required=True, help="prime level")
-    sub.add_argument("--depth", type=int, default=None, help="last coefficient row (default 3)")
-    _add_json(sub)
-    sub.set_defaults(func=_cmd_tau, sub=sub)
-
-    sub = subs.add_parser("obstruct", help="twisted-conjugation periodicity obstruction")
-    _add_manifold(sub)
-    sub.add_argument("--r", type=int, required=True, help="prime level")
-    _add_system(sub, required=False)
-    _add_json(sub)
-    sub.set_defaults(func=_cmd_obstruct, sub=sub)
-
-    sub = subs.add_parser("discriminant", help="CRT-lifted period discriminant over prime levels")
-    _add_manifold(sub)
-    sub.add_argument(
-        "--primes",
-        type=_parse_primes,
-        required=True,
-        metavar="N,N,...",
-        help="comma-separated prime levels",
-    )
-    _add_json(sub)
-    sub.set_defaults(func=_cmd_discriminant, sub=sub)
-
-    sub = subs.add_parser("ohtsuki", help="(1-xi)-adic coefficient table of an invariant")
-    _add_manifold(sub)
-    sub.add_argument("--r", type=int, required=True, help="prime level")
-    sub.add_argument("--depth", type=int, default=None, help="last coefficient row (default r-2)")
-    _add_json(sub)
-    sub.set_defaults(func=_cmd_ohtsuki, sub=sub)
-
-    sub = subs.add_parser("jones", help="Jones polynomial of a braid closure or diagram")
-    _add_link_source(sub)
-    _add_json(sub)
-    sub.set_defaults(func=_cmd_jones, sub=sub)
-
-    sub = subs.add_parser("murasugi", help="periodicity congruence for a braid and odd prime")
-    sub.add_argument("--braid", required=True, help='braid word, e.g. "strands 2 : 1"')
-    sub.add_argument("--p", type=int, required=True, help="odd prime period")
-    _add_json(sub)
-    sub.set_defaults(func=_cmd_murasugi, sub=sub)
-
-    sub = subs.add_parser("yokota", help="Jones self-congruence test at an odd prime period")
-    _add_link_source(sub)
-    sub.add_argument("--p", type=int, required=True, help="odd prime period")
-    _add_json(sub)
-    sub.set_defaults(func=_cmd_yokota, sub=sub)
-
-    sub = subs.add_parser("gauss", help="Gauss sum, kernel size, magnitude and ratio checks")
-    _add_system(sub, required=True)
-    sub.add_argument("--r", type=int, required=True, help="prime level")
-    sub.add_argument(
-        "--max-cosets",
-        type=int,
-        default=GAUSS_MAX_COSETS,
-        metavar="N",
-        help=f"refuse levels with more than N = r^rank cosets (default {GAUSS_MAX_COSETS})",
-    )
-    _add_json(sub)
-    sub.set_defaults(func=_cmd_gauss, sub=sub)
-
-    sub = subs.add_parser("liedata", help="root system constants")
-    _add_system(sub, required=True)
-    _add_json(sub)
-    sub.set_defaults(func=_cmd_liedata, sub=sub)
-
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(name, help=command.help)
+        for add in command.arguments:
+            add(sub)
+        sub.add_argument("--json", action="store_true", help="emit a JSON report instead of a table")
+        sub.set_defaults(sub=sub)
     return parser
 
 
@@ -410,10 +383,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        report, text = COMMANDS[args.subcommand].run(args)
+        print(json.dumps(report) if args.json else "\n".join(text()))
         sys.stdout.flush()
     except (ValueError, CrossingLimitError, NotDivisibleError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # a level so large that one element of Z[xi] does not fit
+        print("error: out of memory", file=sys.stderr)
         return 1
     except BrokenPipeError:
         # the reader has gone; point stdout at devnull so that the flush at
@@ -421,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -148,16 +148,6 @@ class CyclotomicInt:
         """Complex conjugation, xi -> xi^(r-1)."""
         return self.galois(self.r - 1)
 
-    def epsilon_residue(self) -> int:
-        """Image in Z/r under xi -> 1, as a representative in [0, r)."""
-        return sum(self.coeffs) % self.r
-
-    def divisible_by(self, m: int) -> bool:
-        """Whether x lies in the ideal m Z[xi], i.e. every coordinate does."""
-        if m <= 0:
-            raise ValueError("divisor must be a positive integer")
-        return all(c % m == 0 for c in self.coeffs)
-
     @property
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -205,10 +195,6 @@ def make(r: int, monomials: Mapping[int, int] | Iterable[tuple[int, int]]) -> Cy
     for power, c in items:
         acc[power % r] += c
     return _fold_power_vector(r, acc)
-
-
-def one_minus_xi(r: int) -> CyclotomicInt:
-    return make(r, {0: 1, 1: -1})
 
 
 def divide_by_one_minus_xi(x: CyclotomicInt) -> CyclotomicInt:
@@ -260,17 +246,6 @@ class OhtsukiExpansion:
     r: int
     a: tuple[int, ...]
     remainder: CyclotomicInt
-
-    def reconstruct(self) -> CyclotomicInt:
-        """Resum digits and remainder; inverse of ohtsuki_expansion."""
-        r = self.r
-        base = one_minus_xi(r)
-        out = CyclotomicInt.zero(r)
-        pw = CyclotomicInt.one(r)
-        for an in self.a:
-            out = out + pw * an
-            pw = pw * base
-        return out + pw * self.remainder
 
 
 def _peel(r: int, cur: list[int], count: int) -> list[int]:

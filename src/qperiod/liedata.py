@@ -101,10 +101,6 @@ class RootSystem:
                     total += xi * yj * self.d[i] * self.cartan[i][j]
         return total
 
-    def pairing(self, beta, i: int) -> int:
-        """<beta, alpha_i^vee>, integral on the root lattice."""
-        return sum(self.cartan[i][j] * c for j, c in enumerate(beta))
-
 
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:

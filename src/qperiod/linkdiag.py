@@ -80,31 +80,6 @@ def braid_power(b: BraidWord, p: int) -> BraidWord:
     return BraidWord(b.strands, b.letters * p)
 
 
-def braid_permutation(b: BraidWord) -> tuple[int, ...]:
-    """perm[s] = bottom position reached by the strand starting at top s."""
-    strand_at = list(range(b.strands))
-    for w in b.letters:
-        i = abs(w) - 1
-        strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
-    perm = [0] * b.strands
-    for pos, s in enumerate(strand_at):
-        perm[s] = pos
-    return tuple(perm)
-
-
-def braid_component_count(b: BraidWord) -> int:
-    perm = braid_permutation(b)
-    seen = [False] * b.strands
-    count = 0
-    for s in range(b.strands):
-        if not seen[s]:
-            count += 1
-            while not seen[s]:
-                seen[s] = True
-                s = perm[s]
-    return count
-
-
 # ---------------------------------------------------------------------------
 # planar diagrams
 
@@ -159,11 +134,6 @@ class PlanarDiagram:
     @property
     def arcs(self) -> tuple[int, ...]:
         return tuple(a for comp in self.components for a in comp)
-
-    @property
-    def free_loop_count(self) -> int:
-        crossing_arcs = {a for x in self.crossings for a in x}
-        return sum(1 for comp in self.components if comp[0] not in crossing_arcs)
 
 
 def closure(b: BraidWord) -> PlanarDiagram:

@@ -61,12 +61,6 @@ class HalfLaurent:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, k_doubled: int) -> int:
-        for k, c in self.terms:
-            if k == k_doubled:
-                return c
-        return 0
-
     @property
     def min_exp(self) -> int:
         if not self.terms:
@@ -78,14 +72,6 @@ class HalfLaurent:
         if not self.terms:
             raise ValueError("zero polynomial has no exponents")
         return self.terms[-1][0]
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.terms)
-
-    def coeffs_divisible_by(self, m: int) -> bool:
-        if m <= 0:
-            raise ValueError("divisor must be a positive integer")
-        return all(c % m == 0 for _, c in self.terms)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -206,11 +192,6 @@ def reduce_mod(f: HalfLaurent, p: int, g: HalfLaurent) -> HalfLaurent:
     fv = _clear_to_fp_vector(f, p, max(0, -f.min_exp))
     rem = fp_rem(fv, gv, p)
     return HalfLaurent.from_dict({i: c for i, c in enumerate(rem) if c})
-
-
-def congruent_mod(f: HalfLaurent, h: HalfLaurent, p: int, g: HalfLaurent) -> bool:
-    """Whether f and h agree modulo the ideal (p, g)."""
-    return reduce_mod(f - h, p, g).is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import json
 import random
 import time
 
-from oracles import binomial_expansion_identity, complex_eval, remark_identity_check
+from oracles import binomial_expansion_identity, complex_eval, reconstruct, remark_identity_check
 from qperiod.cyclo import CyclotomicInt, cyclo_to_json, make, ohtsuki_expansion
 from qperiod.liedata import build_root_system, gauss_sum, kernel_size, verify_ratio
 from qperiod.linkdiag import (
@@ -166,7 +166,7 @@ def _c10() -> None:
             assert (a + b) + c == a + (b + c)
             assert a * b == b * a
             assert a * (b + c) == a * b + a * c
-            assert ohtsuki_expansion(a).reconstruct() == a
+            assert reconstruct(ohtsuki_expansion(a)) == a
             obj = json.loads(json.dumps(cyclo_to_json(a)))
             assert make(obj["r"], enumerate(int(c) for c in obj["coeffs"])) == a
     for r in (3, 5, 7, 11, 13):

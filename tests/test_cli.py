@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qperiod import cli
 from qperiod.cli import GAUSS_MAX_COSETS, main
 from qperiod.cyclo import cyclo_to_json
 from qperiod.liedata import build_root_system, gauss_report
@@ -176,6 +177,13 @@ def test_tau_s3_small_prime_allowed(capsys) -> None:
     assert json.loads(out)["value"] == {"r": 3, "coeffs": [1, 0]}
 
 
+@pytest.mark.parametrize("command", ["tau", "obstruct", "ohtsuki"])
+def test_s3_at_level_two_is_usage_error(capsys, command: str) -> None:
+    code, out, err = run_cli(capsys, [command, "--manifold", "s3", "--r", "2"])
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == f"qperiod {command}: error: r = 2 must be an odd prime"
+
+
 def test_tau_depth_out_of_range(capsys) -> None:
     code, _, err = run_cli(capsys, ["tau", "--manifold", "s3", "--r", "5", "--depth", "4"])
     assert code == 2
@@ -224,6 +232,23 @@ def test_discriminant_rejects_bad_level(capsys) -> None:
     code, _, err = run_cli(capsys, ["discriminant", "--manifold", "poincare", "--primes", "7,9"])
     assert code == 2
     assert "r = 9 must be a prime > 4" in err
+
+
+@pytest.mark.parametrize("primes", [",", ""])
+def test_discriminant_rejects_empty_list(capsys, primes: str) -> None:
+    code, out, err = run_cli(capsys, ["discriminant", "--manifold", "poincare", "--primes", primes])
+    assert code == 2 and out == ""
+    assert "--primes is an empty list" in err
+
+
+def test_out_of_memory_is_computation_error(capsys, monkeypatch) -> None:
+    # a level whose Z[xi] elements cannot be allocated
+    def exhausted(manifold, primes):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "period_discriminant", exhausted)
+    code, out, err = run_cli(capsys, ["discriminant", "--manifold", "s3", "--primes", "6768176633"])
+    assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
 def test_discriminant_rejects_malformed_list(capsys) -> None:

@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 import qperiod.liedata as liedata_module
-from oracles import complex_eval
-from qperiod.cyclo import CyclotomicInt, divide_by_one_minus_xi, make, one_minus_xi
+from oracles import complex_eval, one_minus_xi, pairing
+from qperiod.cyclo import CyclotomicInt, divide_by_one_minus_xi, make
 from qperiod.liedata import (
     RANK_CAPS,
     GaussReport,
@@ -109,7 +109,7 @@ def orbit_weyl_order(rs) -> int:
         x = frontier.pop()
         for i in range(rs.rank):
             y = list(x)
-            y[i] -= rs.pairing(x, i)
+            y[i] -= pairing(rs, x, i)
             cand = tuple(y)
             if cand not in orbit:
                 orbit.add(cand)

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import remark_identity_check
+from oracles import congruent_mod, remark_identity_check
 from qperiod.qpoly import (
     HalfLaurent,
-    congruent_mod,
     eta,
     poly_text,
     poly_to_json,
