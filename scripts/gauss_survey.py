@@ -6,17 +6,15 @@ Run as: python3 scripts/gauss_survey.py
 """
 from __future__ import annotations
 
-from qperiod.cli import aligned
+from qperiod.cli import GAUSS_MAX_COSETS, aligned
 from qperiod.liedata import RANK_CAPS, admissible_r, build_root_system, constants, gauss_report
-
-COSET_CAP = 200_000
 
 
 def small_admissible_levels(rs, count: int = 2):
     cs = constants(rs)
     found = []
     r = cs.d * cs.h_dual + 1
-    while len(found) < count and r ** rs.rank <= COSET_CAP:
+    while len(found) < count and r ** rs.rank <= GAUSS_MAX_COSETS:
         if admissible_r(rs, r):
             found.append(r)
         r += 1

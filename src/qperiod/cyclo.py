@@ -15,6 +15,11 @@ coefficient-sum residue map (xi -> 1) with exact division by (1 - xi).
 Both are O(r) on the coordinate vector, so `ohtsuki_digits(x, depth)`
 costs O(depth * r) and the full `ohtsuki_expansion(x)` O(r^2); one
 peeling loop serves both.
+
+One routine, `divide_power_vector`, divides exactly by 1 - xi^m for any
+m invertible mod r, in O(r) on the power basis xi^0 .. xi^(r-1): the
+peeling loop (m = 1), the unknot normaliser's root factors through
+`divide_by_one_minus_xi_power`, and the windows of `tau` all use it.
 """
 from __future__ import annotations
 
@@ -197,42 +202,42 @@ def make(r: int, monomials: Mapping[int, int] | Iterable[tuple[int, int]]) -> Cy
     return _fold_power_vector(r, acc)
 
 
-def divide_by_one_minus_xi(x: CyclotomicInt) -> CyclotomicInt:
-    """Exact quotient x / (1 - xi); requires the coefficient sum of x to
-    vanish mod r, which characterizes membership in the ideal (1 - xi).
+def divide_power_vector(y: list[int], m: int) -> list[int]:
+    """Exact quotient y / (1 - xi^m) in O(r), for m invertible mod r
+    (ValueError otherwise), with y and the quotient on the power basis
+    xi^0 .. xi^(r-1); the quotient's top coordinate is 0, so dropping it
+    leaves canonical coordinates.
 
-    The canonical polynomial of x gains an exact factor of (1 - T) after
-    subtracting (sum/r) copies of 1 + T + ... + T^(r-1), and the quotient
-    coefficients are plain partial sums.
+    The coefficient sum s of y decides divisibility: (1 - xi^m) generates
+    the ideal (1 - xi), which holds y exactly when s = 0 mod r, and
+    NotDivisibleError is raised outside it.  After subtracting s/r copies
+    of 1 + xi + ... + xi^(r-1), which is 0, the quotient q satisfies
+    q_i = y_i + q_(i-m): a running sum along the single cycle of the walk
+    i -> i + m, from m - 1 round to r - 1, where it closes at zero.
     """
-    r = x.r
-    s = sum(x.coeffs)
+    r = len(y)
+    m %= r
+    if m == 0:
+        raise ValueError("the exponent of xi must be nonzero mod r")
+    s = sum(y)
     if s % r != 0:
         raise NotDivisibleError(
             f"element with coefficient-sum residue {s % r} is not divisible by (1 - xi)"
         )
     c = s // r
-    g = [x.coeffs[i] - c for i in range(r - 1)] + [-c]
-    out = []
-    run = 0
-    for i in range(r - 1):
-        run += g[i]
-        out.append(run)
-    if run + g[r - 1] != 0:
+    walk = [i % r for i in range(m - 1, r * m, m)]
+    q = [0] * r
+    for i, run in zip(walk, accumulate(y[i] - c for i in walk)):
+        q[i] = run
+    if q[r - 1] != 0:
         raise AssertionError("division bookkeeping failed")  # unreachable
-    return CyclotomicInt(r, tuple(out))
+    return q
 
 
 def divide_by_one_minus_xi_power(x: CyclotomicInt, e: int) -> CyclotomicInt:
-    """Exact quotient x / (1 - xi^e) for e invertible mod r (ValueError
-    otherwise), in O(r).
-
-    The Galois twist xi -> xi^e carries 1 - xi to 1 - xi^e, so the quotient
-    is the twist by e of (x twisted by e^-1) / (1 - xi).  Both generate the
-    ideal (1 - xi), so the same coefficient-sum test decides divisibility
-    and NotDivisibleError is raised outside it.
-    """
-    return divide_by_one_minus_xi(x.galois(pow(e, -1, x.r))).galois(e)
+    """Exact quotient x / (1 - xi^e) for e invertible mod r, as
+    divide_power_vector."""
+    return CyclotomicInt(x.r, tuple(divide_power_vector([*x.coeffs, 0], e)[:-1]))
 
 
 @dataclass(frozen=True)
@@ -248,23 +253,20 @@ class OhtsukiExpansion:
     remainder: CyclotomicInt
 
 
-def _peel(r: int, cur: list[int], count: int) -> list[int]:
-    """Peel count digits off the coordinate vector cur of an element of
-    Z[xi], leaving in cur the cofactor of (1 - xi)^count.
+def _peel(cur: list[int], count: int) -> list[int]:
+    """Peel count digits off the power-basis vector cur of an element of
+    Z[xi], leaving in cur the cofactor of (1 - xi)^count, top coordinate 0.
 
     Each step takes the coefficient-sum residue a as the digit and divides
-    cur - a exactly by (1 - xi), as in divide_by_one_minus_xi: with
-    c = (sum - a) / r, the quotient's coordinates are the partial sums of
-    cur - a - c * (1 + xi + ... + xi^(r-1)).
+    cur - a exactly by (1 - xi) with divide_power_vector.
     """
+    r = len(cur)
     digits = []
     for _ in range(count):
-        s = sum(cur)
-        an = s % r
+        an = sum(cur) % r
         digits.append(an)
-        c = (s - an) // r
         cur[0] -= an
-        cur[:] = accumulate(v - c for v in cur)
+        cur[:] = divide_power_vector(cur, 1)
     return digits
 
 
@@ -273,15 +275,15 @@ def ohtsuki_digits(x: CyclotomicInt, depth: int) -> tuple[int, ...]:
     0 <= depth <= r-2, in O(depth * r)."""
     if not 0 <= depth <= x.r - 2:
         raise ValueError(f"depth must lie in [0, {x.r - 2}]")
-    return tuple(_peel(x.r, list(x.coeffs), depth + 1))
+    return tuple(_peel([*x.coeffs, 0], depth + 1))
 
 
 def ohtsuki_expansion(x: CyclotomicInt) -> OhtsukiExpansion:
     """All r-1 digits of the (1 - xi)-adic expansion of x and the
     remainder, in O(r^2)."""
-    cur = list(x.coeffs)
-    digits = _peel(x.r, cur, x.r - 1)
-    return OhtsukiExpansion(x.r, tuple(digits), CyclotomicInt(x.r, tuple(cur)))
+    cur = [*x.coeffs, 0]
+    digits = _peel(cur, x.r - 1)
+    return OhtsukiExpansion(x.r, tuple(digits), CyclotomicInt(x.r, tuple(cur[:-1])))
 
 
 # ---------------------------------------------------------------------------

@@ -273,12 +273,11 @@ def f_unknot(rs: RootSystem, r: int, sign: int = 1) -> CyclotomicInt:
     prod(1 - xi^(beta|rho)) over the positive roots beta, conjugated for
     sign -1.  The quotient always lies in Z[xi].
 
-    Each factor 1 - xi^e, e = (beta|rho) * sign, is the Galois twist of
-    1 - xi by e, so the quotient is a chain of |Phi+| exact O(r) divisions
-    by (1 - xi) between twists.  The chain cannot fail: for prime
-    r > d*h_dual the Gram form is nondegenerate mod r, so gamma times its
-    conjugate is r^l and gamma has (1 - xi)-adic valuation l(r-1)/2, at
-    least |Phi+| = l*h/2 because r > h."""
+    Each factor 1 - xi^e, e = (beta|rho) * sign, costs one exact O(r)
+    division, so the quotient is a chain of |Phi+| of them.  The chain
+    cannot fail: for prime r > d*h_dual the Gram form is nondegenerate
+    mod r, so gamma times its conjugate is r^l and gamma has (1 - xi)-adic
+    valuation l(r-1)/2, at least |Phi+| = l*h/2 because r > h."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     _require_admissible_size(rs, r)

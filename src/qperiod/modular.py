@@ -93,13 +93,11 @@ def fp_divides(den: list[int], num: list[int], p: int) -> bool:
 
 # ---------------------------------------------------------------------------
 
-def crt_symmetric(pairs: list[tuple[int, int]], magnitude_bound: int | None = None) -> int:
+def crt_symmetric(pairs: list[tuple[int, int]]) -> int:
     """Combine residue pairs (modulus, residue) into the representative in
     (-M/2, M/2] where M is the product of the moduli.
 
-    Moduli must be pairwise coprime.  When magnitude_bound is given, the
-    product must exceed twice the bound so the representative is the unique
-    integer of that magnitude; otherwise a ValueError reports the shortfall.
+    Moduli must be pairwise coprime.
     """
     if not pairs:
         raise ValueError("need at least one residue pair")
@@ -113,10 +111,6 @@ def crt_symmetric(pairs: list[tuple[int, int]], magnitude_bound: int | None = No
         inc = (res - x) * pow(m_total, -1, m) % m
         x += inc * m_total
         m_total *= m
-    if magnitude_bound is not None and m_total <= 2 * magnitude_bound:
-        raise ValueError(
-            f"modulus product {m_total} is insufficient for magnitude bound {magnitude_bound}"
-        )
     x %= m_total
     if 2 * x > m_total:
         x -= m_total

@@ -17,11 +17,12 @@ Consecutive windows share all but three factors:
 
     W(0) = 1,   W(n+1) = W(n) (1 - xi^(2n+2)) (1 - xi^(2n+3)) / (1 - xi^(n+1)).
 
-The sum is accumulated on plain integer vectors in Z[T]/(T^r - 1), where
-each binomial factor is a shift and subtract, and the division is an
-exact O(r) running sum along the single cycle of the walk i -> i + n + 1
-(gcd(n+1, r) = 1).  A window costs O(r), so a level costs O(r^2); the
-total is folded into Z[xi] once at the end.
+The sum is accumulated on plain integer vectors on the power basis
+xi^0 .. xi^(r-1), where each binomial factor is a shift and subtract, and
+the division is `cyclo.divide_power_vector`, an exact O(r) running sum
+along the single cycle of the walk i -> i + n + 1 (gcd(n+1, r) = 1).  A
+window costs O(r), so a level costs O(r^2); the total is folded into
+canonical coordinates once at the end.
 
 The rest reads only the low Ohtsuki digits, which cost O(r) each: a
 coefficient table to depth d is O(d * r), so the `tau` and `obstruct`
@@ -33,10 +34,9 @@ twists is O(r) integer work per twist.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
-from .cyclo import CyclotomicInt, cyclo_to_json, make, ohtsuki_digits
-from .liedata import RootSystem, admissible_r, build_root_system, constants
+from .cyclo import CyclotomicInt, cyclo_to_json, divide_power_vector, make, ohtsuki_digits
+from .liedata import RootSystem, admissible_r, build_root_system
 from .modular import crt_symmetric, encode_int, factorize, fp_divides, fp_gcd, is_prime
 
 MANIFOLDS = ("poincare", "brieskorn_2_3_7", "s3")
@@ -73,26 +73,6 @@ def _shift_subtract(w: list[int], k: int) -> list[int]:
     return [a - b for a, b in zip(w, w[-k:] + w[:-k])]
 
 
-def _divide_one_minus_power(y: list[int], m: int) -> list[int]:
-    """A quotient y / (1 - T^m) in Z[T]/(T^r - 1), for m invertible mod r.
-
-    q_i = y_i + q_{i-m} is a running sum along the cycle 0, m, 2m, ...
-    through every index; it closes exactly when the coefficients of y sum
-    to zero, which holds for every y built here.  The quotient is fixed up
-    to a multiple of 1 + T + ... + T^(r-1), which the next factor
-    (1 - T^k) and the fold into Z[xi] both annihilate.
-    """
-    r = len(y)
-    walk = [(j * m) % r for j in range(r)]
-    sums = list(accumulate(y[i] for i in walk))
-    if sums[-1] != 0:
-        raise AssertionError("division bookkeeping failed")  # unreachable
-    q = [0] * r
-    for i, s in zip(walk, sums):
-        q[i] = s
-    return q
-
-
 def _tau_sum(r: int, front_exponent) -> CyclotomicInt:
     total = [0] * r
     window = [1] + [0] * (r - 1)
@@ -100,7 +80,7 @@ def _tau_sum(r: int, front_exponent) -> CyclotomicInt:
         if n:
             window = _shift_subtract(window, 2 * n)
             window = _shift_subtract(window, 2 * n + 1)
-            window = _divide_one_minus_power(window, n)
+            window = divide_power_vector(window, n)
         s = front_exponent(n) % r
         total = [a + b for a, b in zip(total, window[-s:] + window[:-s])]
     return make(r, enumerate(total))
@@ -174,14 +154,12 @@ class ObstructionReport:
 
     An empty admissible_v set at an admissible level r rules out
     r-periodicity of the manifold carrying x.  a_table holds the
-    coefficient rows of x itself; twisted_tables the rows of the twisted
-    conjugates for each admissible v.
+    coefficient rows of x itself.
     """
 
     r: int
     admissible_v: tuple[int, ...]
     a_table: tuple[tuple[int, int], ...]
-    twisted_tables: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     verdict: str
 
     def to_json(self, manifold: str) -> dict:
@@ -199,17 +177,15 @@ def obstruction_test(x: CyclotomicInt, r: int, rs: RootSystem | None = None) -> 
         rs = build_root_system("A", 1)
     if x.r != r:
         raise ValueError("x lives at the wrong root of unity")
-    depth = min(3, r - 2)
-    table = coeff_table(x, depth)
+    table = coeff_table(x, min(3, r - 2))
     found = _self_twists(x)
-    twisted = tuple((v, coeff_table(twist_conjugate(x, v), depth)) for v in found)
     if not admissible_r(rs, r):
         verdict = "inadmissible_r"
     elif found:
         verdict = "not_obstructed"
     else:
         verdict = "obstructed"
-    return ObstructionReport(r, found, table, twisted, verdict)
+    return ObstructionReport(r, found, table, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -217,25 +193,20 @@ def obstruction_test(x: CyclotomicInt, r: int, rs: RootSystem | None = None) -> 
 
 
 def quotient_congruence_test(
-    x_m: CyclotomicInt,
-    x_m_prime: CyclotomicInt,
-    p: int,
-    r: int,
-    rs: RootSystem | None = None,
+    x_m: CyclotomicInt, x_m_prime: CyclotomicInt, p: int, r: int
 ) -> tuple[int, ...]:
     """All u in [0, 2r) with x_m = (-xi)^u * (x_m')^p modulo the ideal
     (p, (xi+xi^-1)^p - (xi+xi^-1)) of Z[xi].
 
     An empty result is evidence (in the Z[xi] image of the full ring)
     against the manifold of x_m being a p-fold cyclic branched cover of
-    the manifold of x_m'."""
-    if rs is None:
-        rs = build_root_system("A", 1)
+    the manifold of x_m'.  p must not divide r times 2, the Weyl order of
+    A1."""
     if not is_prime(p):
         raise ValueError(f"p = {p} must be prime")
     if x_m.r != r or x_m_prime.r != r:
         raise ValueError("invariants live at the wrong root of unity")
-    if (r * constants(rs).weyl_order) % p == 0:
+    if (2 * r) % p == 0:
         raise ValueError(f"p = {p} must not divide r times the Weyl order")
     half_trace = make(r, {1: 1, r - 1: 1})
     gen = half_trace**p - half_trace
@@ -284,18 +255,6 @@ class DiscriminantReport:
         }
 
 
-def crt_lift(residues, magnitude_bound: int | None = None) -> int:
-    """Symmetric-representative CRT over pairwise distinct prime moduli."""
-    pairs = tuple(residues)
-    moduli = [m for m, _ in pairs]
-    if len(set(moduli)) != len(moduli):
-        raise ValueError("repeated modulus")
-    for m in moduli:
-        if not is_prime(m):
-            raise ValueError(f"modulus {m} is not prime")
-    return crt_symmetric(pairs, magnitude_bound)
-
-
 def period_discriminant(manifold_id: str, primes) -> DiscriminantReport:
     """CRT-lift the twisted-conjugate defect of the level-r invariants to
     a single integer whose prime factors bound the possible periods."""
@@ -316,7 +275,7 @@ def period_discriminant(manifold_id: str, primes) -> DiscriminantReport:
         rows.append((r, v, delta))
     if not rows:
         raise ValueError("no usable levels: every prime was dropped")
-    lifted = crt_lift((r, delta) for r, _, delta in rows)
+    lifted = crt_symmetric([(r, delta) for r, _, delta in rows])
     factors = factorize(abs(lifted)) if lifted else ()
     return DiscriminantReport(
         manifold_id,

@@ -3,18 +3,21 @@
 None of them is used by the package.  `complex_eval` is the independent
 numeric image of an element of Z[xi], `ideal_member` the one-shift-at-a-time
 route that `tau.quotient_congruence_test` batches, `schoolbook_product` the
-coordinate double loop that the packed Z[xi] product replaced, and the two
-identity checks are facts about Z[T] and the eta moduli that the
-congruences rest on.  The small predicates below them (divisibility,
-residues, braid permutations, free loops, root pairings, the resummed
-Ohtsuki expansion) state in the tests what a result must satisfy.
+coordinate double loop that the packed Z[xi] product replaced,
+`divide_by_one_minus_xi` and `twisted_division` the partial-sum division
+by 1 - xi and the twist-divide-twist route to 1 - xi^e that
+`cyclo.divide_power_vector` replaced, and the two identity checks are
+facts about Z[T] and the eta moduli that the congruences rest on.  The
+small predicates below them (divisibility, residues, braid permutations,
+free loops, root pairings, the resummed Ohtsuki expansion) state in the
+tests what a result must satisfy.
 """
 from __future__ import annotations
 
 import cmath
 import math
 
-from qperiod.cyclo import CyclotomicInt, OhtsukiExpansion, make
+from qperiod.cyclo import CyclotomicInt, NotDivisibleError, OhtsukiExpansion, make
 from qperiod.liedata import RootSystem
 from qperiod.linkdiag import BraidWord, PlanarDiagram
 from qperiod.modular import fp_divides, fp_gcd, fp_trim, is_prime
@@ -83,6 +86,37 @@ def schoolbook_product(x: CyclotomicInt, y: CyclotomicInt) -> CyclotomicInt:
         for j, b in enumerate(y.coeffs):
             acc[(i + j) % r] += a * b
     return CyclotomicInt(r, tuple(c - acc[r - 1] for c in acc[:-1]))
+
+
+def divide_by_one_minus_xi(x: CyclotomicInt) -> CyclotomicInt:
+    """Exact quotient x / (1 - xi) as plain partial sums; requires the
+    coefficient sum of x to vanish mod r.
+
+    The canonical polynomial of x gains an exact factor of (1 - T) after
+    subtracting (sum/r) copies of 1 + T + ... + T^(r-1), and the quotient
+    coefficients are its partial sums.
+    """
+    r = x.r
+    s = sum(x.coeffs)
+    if s % r != 0:
+        raise NotDivisibleError(
+            f"element with coefficient-sum residue {s % r} is not divisible by (1 - xi)"
+        )
+    c = s // r
+    out = []
+    run = 0
+    for a in x.coeffs:
+        run += a - c
+        out.append(run)
+    assert run - c == 0
+    return CyclotomicInt(r, tuple(out))
+
+
+def twisted_division(x: CyclotomicInt, e: int) -> CyclotomicInt:
+    """Exact quotient x / (1 - xi^e) for e invertible mod r: the Galois
+    twist xi -> xi^e carries 1 - xi to 1 - xi^e, so the quotient is the
+    twist by e of (x twisted by 1/e) / (1 - xi)."""
+    return divide_by_one_minus_xi(x.galois(pow(e, -1, x.r))).galois(e)
 
 
 def epsilon_residue(x: CyclotomicInt) -> int:

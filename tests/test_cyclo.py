@@ -12,19 +12,21 @@ import qperiod.cyclo as cyclo_module
 from oracles import (
     binomial_expansion_identity,
     complex_eval,
+    divide_by_one_minus_xi,
     divisible_by,
     epsilon_residue,
     ideal_member,
     one_minus_xi,
     reconstruct,
     schoolbook_product,
+    twisted_division,
 )
 from qperiod.cyclo import (
     CyclotomicInt,
     NotDivisibleError,
     cyclo_to_json,
-    divide_by_one_minus_xi,
     divide_by_one_minus_xi_power,
+    divide_power_vector,
     make,
     ohtsuki_digits,
     ohtsuki_expansion,
@@ -209,15 +211,15 @@ def test_complex_eval_respects_galois_choice():
 def test_divide_golden_values():
     # (1 - xi^3) / (1 - xi) = 1 + xi + xi^2
     x = make(5, {0: 1, 3: -1})
-    assert divide_by_one_minus_xi(x) == make(5, {0: 1, 1: 1, 2: 1})
+    assert divide_by_one_minus_xi_power(x, 1) == make(5, {0: 1, 1: 1, 2: 1})
     # (2 xi + 2 xi^2 + xi^3) / (1 - xi) = xi^3 + xi^2 - 1
     y = make(5, {1: 2, 2: 2, 3: 1})
-    assert divide_by_one_minus_xi(y) == make(5, {0: -1, 2: 1, 3: 1})
+    assert divide_by_one_minus_xi_power(y, 1) == make(5, {0: -1, 2: 1, 3: 1})
 
 
 def test_divide_rejects_nonmembers():
     with pytest.raises(NotDivisibleError):
-        divide_by_one_minus_xi(CyclotomicInt.one(5))
+        divide_by_one_minus_xi_power(CyclotomicInt.one(5), 1)
 
 
 @pytest.mark.parametrize("r", RS)
@@ -225,18 +227,51 @@ def test_divide_inverts_multiplication(r):
     rng = random.Random(6000 + r)
     for _ in range(60):
         w = rand_elt(r, rng)
-        assert divide_by_one_minus_xi(one_minus_xi(r) * w) == w
+        assert divide_by_one_minus_xi_power(one_minus_xi(r) * w, 1) == w
 
 
-# an element of Z[xi] at a small prime level, with a twist exponent e
+# an element of Z[xi] at a small prime level, with an exponent e that is
+# 1, in [2, r-1], or negative as in the conjugated chain of f_unknot
 twisted_cases = st.sampled_from((3, 5, 7, 11, 13, 31)).flatmap(
     lambda r: st.tuples(
         st.lists(st.integers(-50, 50), min_size=r - 1, max_size=r - 1).map(
             lambda cs: CyclotomicInt(r, tuple(cs))
         ),
-        st.integers(1, r - 1),
+        st.just(1) | st.integers(2, r - 1) | st.integers(-(r - 1), -1),
     )
 )
+
+
+def outcome(divide, *args):
+    try:
+        return divide(*args)
+    except NotDivisibleError:
+        return "not divisible"
+
+
+@settings(max_examples=120, deadline=None)
+@given(twisted_cases)
+def test_division_matches_both_references(case):
+    # on a member x (1 - xi^e) and on x itself, member or not, the one
+    # division agrees with the twist-divide-twist route for every e and
+    # with the partial sums for e = 1
+    x, e = case
+    for y in (x * make(x.r, {0: 1, e: -1}), x):
+        assert outcome(divide_by_one_minus_xi_power, y, e) == outcome(twisted_division, y, e)
+        assert outcome(divide_by_one_minus_xi_power, y, 1) == outcome(divide_by_one_minus_xi, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(twisted_cases, st.integers(-50, 50))
+def test_power_vector_division_of_any_representative(case, top):
+    # tau divides vectors whose top coordinate is not 0: every
+    # representative of a member divides, and the quotient's top coordinate
+    # is 0
+    x, e = case
+    y = [c + top for c in (x * make(x.r, {0: 1, e: -1})).coeffs] + [top]
+    q = divide_power_vector(y, e)
+    assert q[-1] == 0
+    assert CyclotomicInt(x.r, tuple(q[:-1])) == x
 
 
 @settings(max_examples=80, deadline=None)

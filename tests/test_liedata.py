@@ -11,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 import qperiod.liedata as liedata_module
-from oracles import complex_eval, one_minus_xi, pairing
-from qperiod.cyclo import CyclotomicInt, divide_by_one_minus_xi, make
+from oracles import complex_eval, divide_by_one_minus_xi, one_minus_xi, pairing
+from qperiod.cyclo import CyclotomicInt, make
 from qperiod.liedata import (
     RANK_CAPS,
     GaussReport,

@@ -16,7 +16,6 @@ from qperiod.tau import (
     DiscriminantReport,
     TauValue,
     coeff_table,
-    crt_lift,
     obstruction_test,
     period_discriminant,
     quotient_congruence_test,
@@ -27,7 +26,7 @@ from qperiod.tau import (
     twist_conjugate,
     _tau_sum,
 )
-from qperiod.modular import is_prime
+from qperiod.modular import crt_symmetric, is_prime
 
 A1 = build_root_system("A", 1)
 FRONTS = {"poincare": lambda n: n, "brieskorn_2_3_7": lambda n: -n * (n + 2)}
@@ -226,13 +225,6 @@ def test_obstruction_json_shape() -> None:
     assert obj["a"][0] == [0, 1]
 
 
-def test_obstruction_twisted_tables_cover_admissible() -> None:
-    rep = obstruction_test(tau_poincare(5).value, 5, A1)
-    assert tuple(v for v, _ in rep.twisted_tables) == rep.admissible_v
-    v, rows = rep.twisted_tables[0]
-    assert rows == coeff_table(twist_conjugate(tau_poincare(5).value, v), 3)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(0, 4).flatmap(
@@ -299,15 +291,10 @@ def test_obstruction_search_matches_brute_force_on_symmetric_elements(data) -> N
 @pytest.mark.parametrize("r", [r for r in range(5, 140) if is_prime(r)])
 def test_obstruction_matches_brute_force_search(r: int, manifold: str) -> None:
     # the re-indexed search finds exactly the twists that the Z[xi]
-    # products of the reference admit, with the same tables
+    # products of the reference admit
     x = tau_for(manifold, r).value
     want = tuple(v for v in range(r) if divisible_by(x - reference_twist(x, v), r))
-    rep = obstruction_test(x, r, A1)
-    assert rep.admissible_v == want
-    depth = min(3, r - 2)
-    assert rep.twisted_tables == tuple(
-        (v, tuple(enumerate(digits(reference_twist(x, v))[: depth + 1]))) for v in want
-    )
+    assert obstruction_test(x, r, A1).admissible_v == want
 
 
 # ---------------------------------------------------------------------------
@@ -355,18 +342,18 @@ def test_first_order_twist_rule(data) -> None:
 def test_quotient_congruence_rules_out_eleven_fold_cover() -> None:
     # the Poincare sphere is not an 11-fold cyclic branched cover of
     # anything with trivial invariant: no twist works at r = 5
-    assert quotient_congruence_test(tau_poincare(5).value, CyclotomicInt.one(5), 11, 5, A1) == ()
+    assert quotient_congruence_test(tau_poincare(5).value, CyclotomicInt.one(5), 11, 5) == ()
 
 
 def test_quotient_congruence_trivial_pair() -> None:
     one = CyclotomicInt.one(5)
-    assert 0 in quotient_congruence_test(one, one, 11, 5, A1)
+    assert 0 in quotient_congruence_test(one, one, 11, 5)
 
 
 def test_quotient_congruence_detects_constructed_cover() -> None:
     y = tau_poincare(5).value
     xm = -(CyclotomicInt.power(5, 3)) * y**11
-    found = quotient_congruence_test(xm, y, 11, 5, A1)
+    found = quotient_congruence_test(xm, y, 11, 5)
     assert 3 in found
 
 
@@ -374,7 +361,7 @@ def test_quotient_congruence_detects_constructed_cover() -> None:
 def test_quotient_congruence_requires_prime_p(p: int) -> None:
     one = CyclotomicInt.one(5)
     with pytest.raises(ValueError, match="prime"):
-        quotient_congruence_test(one, one, p, 5, A1)
+        quotient_congruence_test(one, one, p, 5)
 
 
 @pytest.mark.parametrize("p", [2, 5])
@@ -382,12 +369,12 @@ def test_quotient_congruence_rejects_small_p(p: int) -> None:
     # p must avoid r and the Weyl order (2 for A1)
     one = CyclotomicInt.one(5)
     with pytest.raises(ValueError, match="Weyl"):
-        quotient_congruence_test(one, one, p, 5, A1)
+        quotient_congruence_test(one, one, p, 5)
 
 
 def test_quotient_congruence_ring_mismatch() -> None:
     with pytest.raises(ValueError, match="wrong root of unity"):
-        quotient_congruence_test(CyclotomicInt.one(5), CyclotomicInt.one(7), 11, 5, A1)
+        quotient_congruence_test(CyclotomicInt.one(5), CyclotomicInt.one(7), 11, 5)
 
 
 SMALL_PRIMES = [p for p in range(3, 200) if is_prime(p)]
@@ -418,7 +405,7 @@ def test_quotient_congruence_matches_ideal_member(data) -> None:
         for u in range(2 * r)
         if ideal_member(x_m - (-1) ** u * CyclotomicInt.power(r, u) * y**p, p, gen)
     )
-    assert quotient_congruence_test(x_m, y, p, r, A1) == want
+    assert quotient_congruence_test(x_m, y, p, r) == want
 
 
 # ---------------------------------------------------------------------------
@@ -426,22 +413,22 @@ def test_quotient_congruence_matches_ideal_member(data) -> None:
 
 
 def test_crt_lift_small() -> None:
-    assert crt_lift([(7, 6), (11, 6)]) == 6
-    assert crt_lift([(7, 3), (11, 7)]) == -4
+    assert crt_symmetric([(7, 6), (11, 6)]) == 6
+    assert crt_symmetric([(7, 3), (11, 7)]) == -4
 
 
 def test_crt_lift_of_shared_coefficient() -> None:
     pairs = [(r, digits(tau_poincare(r).value)[1]) for r in (7, 11)]
-    assert crt_lift(pairs) == 6
+    assert crt_symmetric(pairs) == 6
 
 
 def test_crt_lift_validation() -> None:
-    with pytest.raises(ValueError, match="repeated"):
-        crt_lift([(7, 1), (7, 2)])
-    with pytest.raises(ValueError, match="not prime"):
-        crt_lift([(6, 1)])
-    with pytest.raises(ValueError, match="insufficient"):
-        crt_lift([(7, 3)], magnitude_bound=10)
+    with pytest.raises(ValueError, match="coprime"):
+        crt_symmetric([(7, 1), (7, 2)])
+    with pytest.raises(ValueError, match="not usable"):
+        crt_symmetric([(1, 0)])
+    with pytest.raises(ValueError, match="at least one"):
+        crt_symmetric([])
 
 
 def test_poincare_discriminant() -> None:
