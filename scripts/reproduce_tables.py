@@ -7,14 +7,8 @@ Run as: python3 scripts/reproduce_tables.py
 from __future__ import annotations
 
 from qperiod.cli import aligned, factor_text
-from qperiod.cyclo import ohtsuki_digits
-from qperiod.tau import (
-    obstruction_test,
-    period_discriminant,
-    tau_brieskorn237,
-    tau_poincare,
-    twist_conjugate,
-)
+from qperiod.cyclo import ohtsuki_digits, twist_conjugate
+from qperiod.tau import obstruction_test, period_discriminant, tau_brieskorn237, tau_poincare
 
 POINCARE_LEVELS = (5, 7, 11, 13, 17, 19)
 BRIESKORN_LEVELS = (5, 7, 11, 13, 17)

@@ -44,8 +44,9 @@ from .tau import coeff_table, obstruction_test, period_discriminant, tau_for
 
 MANIFOLD_IDS = {"poincare": "poincare", "brieskorn237": "brieskorn_2_3_7", "s3": "s3"}
 
-# a gauss report sums all r^rank cosets four times, about 30 us per coset
-# with Python 3.11 on one Xeon core, so the default allows some 6 s of work
+# a gauss report sums all r^rank cosets three times, about 22 us per coset
+# in all with Python 3.11 on one Xeon core, so the default allows some 4.5 s
+# of work
 GAUSS_MAX_COSETS = 200_000
 
 # what a row's function returns: the JSON report, and its text lines,
@@ -78,8 +79,16 @@ def factor_text(factorization) -> str:
     return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factorization)
 
 
+def _is_prime(sub: argparse.ArgumentParser, name: str, n: int) -> bool:
+    """is_prime(n), where n too large to decide is a usage error."""
+    try:
+        return is_prime(n)
+    except ValueError as exc:
+        sub.error(f"{name} = {n}: {exc}")
+
+
 def _require_prime(sub: argparse.ArgumentParser, name: str, n: int) -> None:
-    if not is_prime(n):
+    if not _is_prime(sub, name, n):
         sub.error(f"{name} = {n} must be prime")
 
 
@@ -186,7 +195,7 @@ def _discriminant(args) -> Report:
     if not args.primes:
         args.sub.error("--primes is an empty list; give at least one prime level > 4")
     for r in args.primes:
-        if not is_prime(r) or r <= 4:
+        if not _is_prime(args.sub, "level r", r) or r <= 4:
             args.sub.error(f"level r = {r} must be a prime > 4")
     rep = period_discriminant(mid, args.primes)
 

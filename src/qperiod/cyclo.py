@@ -20,6 +20,10 @@ One routine, `divide_power_vector`, divides exactly by 1 - xi^m for any
 m invertible mod r, in O(r) on the power basis xi^0 .. xi^(r-1): the
 peeling loop (m = 1), the unknot normaliser's root factors through
 `divide_by_one_minus_xi_power`, and the windows of `tau` all use it.
+
+One re-indexing, `twist_conjugate`, gives the twisted conjugate
+xi^v conj(x) in O(r): the conjugation obstruction x = xi^v conj(x) of
+`tau` and the ratio law F = +-xi^(-E) conj F of `liedata` both read it.
 """
 from __future__ import annotations
 
@@ -200,6 +204,12 @@ def make(r: int, monomials: Mapping[int, int] | Iterable[tuple[int, int]]) -> Cy
     for power, c in items:
         acc[power % r] += c
     return _fold_power_vector(r, acc)
+
+
+def twist_conjugate(x: CyclotomicInt, v: int) -> CyclotomicInt:
+    """xi^v times the complex conjugate of x: the coefficient of xi^i
+    moves to xi^(v - i), in O(r)."""
+    return make(x.r, ((v - i, c) for i, c in enumerate(x.coeffs)))
 
 
 def divide_power_vector(y: list[int], m: int) -> list[int]:

@@ -5,13 +5,20 @@ quantum invariants.
 Conventions: the symmetrized bilinear form is (alpha_i|alpha_j) =
 d_i a_{ij}, so short roots have square length 2 and (rho|alpha_i) = d_i.
 All root and weight coordinates are taken in the simple-root basis;
-positive roots then have nonnegative integer coordinates.
+positive roots then have nonnegative integer coordinates, and so does
+2 rho, their sum.
+
+Everything is integer arithmetic.  The constants come from root heights,
+the pairings (beta|rho) and the cofactors of the Cartan matrix.  The
+unknot normaliser F = gamma / prod(1 - xi^(beta|rho)) is one chain of
+exact divisions in Z[xi]; its mirror F(-), the same quotient with every
+exponent negated, is conj F, so the ratio law F = +-xi^(-E) conj F is
+one re-indexing by `cyclo.twist_conjugate`.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -21,6 +28,7 @@ from .cyclo import (
     cyclo_to_json,
     divide_by_one_minus_xi_power,
     make,
+    twist_conjugate,
 )
 from .modular import is_prime
 
@@ -70,7 +78,7 @@ class RootSystem:
     cartan: tuple[tuple[int, ...], ...]
     d: tuple[int, ...]
     positive_roots: tuple[tuple[int, ...], ...]
-    rho_coords: tuple[Fraction, ...]
+    two_rho: tuple[int, ...]
 
     def __post_init__(self) -> None:
         l = self.rank
@@ -87,7 +95,7 @@ class RootSystem:
                 raise ValueError("positive root with a negative coordinate")
         for i in range(l):
             e_i = tuple(1 * (k == i) for k in range(l))
-            if self.bilinear(self.rho_coords, e_i) != self.d[i]:
+            if self.bilinear(self.two_rho, e_i) != 2 * self.d[i]:
                 raise ValueError("(rho|alpha_i) = d_i violated")
 
     def bilinear(self, x, y):
@@ -101,11 +109,15 @@ class RootSystem:
                     total += xi * yj * self.d[i] * self.cartan[i][j]
         return total
 
+    def rho_pairing(self, x) -> int:
+        """(x|rho) = sum x_i d_i, since (alpha_i|rho) = d_i."""
+        return sum(c * di for c, di in zip(x, self.d))
+
 
 @lru_cache(maxsize=None)
 def build_root_system(family: str, rank: int) -> RootSystem:
     """Generate positive roots by reflection closure from the simple roots
-    and solve for rho; supports types A1..A6, B2..B5, C2..C5, D4..D5, F4, G2."""
+    and sum them to 2 rho; supports types A1..A6, B2..B5, C2..C5, D4..D5, F4, G2."""
     a, d = _cartan_and_symmetrizers(family, rank)
     simple = [tuple(1 * (k == i) for k in range(rank)) for i in range(rank)]
     roots = set(simple)
@@ -121,9 +133,8 @@ def build_root_system(family: str, rank: int) -> RootSystem:
                 roots.add(cand)
                 frontier.append(cand)
     positive = tuple(sorted(roots, key=lambda b: (sum(b), b)))
-    twice_rho = [sum(b[i] for b in positive) for i in range(rank)]
-    rho = tuple(Fraction(c, 2) for c in twice_rho)
-    return RootSystem(family, rank, tuple(tuple(row) for row in a), tuple(d), positive, rho)
+    two_rho = tuple(sum(b[i] for b in positive) for i in range(rank))
+    return RootSystem(family, rank, tuple(tuple(row) for row in a), tuple(d), positive, two_rho)
 
 
 @dataclass(frozen=True)
@@ -139,49 +150,26 @@ class LieConstants:
     weyl_order: int
 
 
-def _det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    m = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return det
-
-
-def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    n = len(rows)
-    m = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if m[r][col])
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[r][n] for r in range(n)]
+def _cofactor(m: list[list[int]], i: int, j: int) -> int:
+    """The (i, j) cofactor of the square integer matrix m: the signed
+    determinant of m without row i and column j, expanded along its first
+    row."""
+    minor = [row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i]
+    det = sum(c * _cofactor(minor, 0, k) for k, c in enumerate(minor[0]) if c) if minor else 1
+    return (-1) ** (i + j) * det
 
 
 @lru_cache(maxsize=None)
 def constants(rs: RootSystem) -> LieConstants:
-    """The LieConstants of rs, read off its roots and Cartan matrix.
+    """The LieConstants of rs, read off its roots and Cartan matrix A.
 
     h is one more than the height of the highest short root paired with
-    rho, h_dual comes from the largest (beta|rho), D from the inverse Gram
-    matrix, and the Weyl group order from the root heights: the exponents
-    m_i are the dual partition of the height counts (Kostant), and
+    rho, and h_dual one more than the largest (beta|rho) over d.  det is
+    det A and D comes from its cofactors: the fundamental weights are
+    omega_i = A^-1 e_i in the simple-root basis, so (omega_i|alpha_j) has
+    denominator det / gcd(det, d_j adj(A)_ji) and D is their lcm.  The
+    Weyl group order comes from the root heights: the exponents m_i are
+    the dual partition of the height counts (Kostant), and
     |W| = prod(m_i + 1)."""
     l = rs.rank
     d_max = max(rs.d)
@@ -192,20 +180,16 @@ def constants(rs: RootSystem) -> LieConstants:
     top_short = [b for b in short if sum(b) == top_height]
     if len(top_short) != 1:
         raise AssertionError("highest short root is not unique")
-    h = 1 + int(rs.bilinear(top_short[0], rs.rho_coords))
-    pairings = [rs.bilinear(b, rs.rho_coords) for b in rs.positive_roots]
-    h_dual_frac = 1 + Fraction(max(pairings), d_max)
-    if h_dual_frac.denominator != 1:
+    h = 1 + rs.rho_pairing(top_short[0])
+    h_dual, rest = divmod(max(rs.rho_pairing(b) for b in rs.positive_roots), d_max)
+    if rest:
         raise AssertionError("dual Coxeter number came out fractional")
-    gram = [[Fraction(rs.d[i] * rs.cartan[i][j]) for j in range(l)] for i in range(l)]
-    det = _det_fraction([[Fraction(c) for c in row] for row in rs.cartan])
-    if det.denominator != 1:
-        raise AssertionError("Cartan determinant came out fractional")
+    a = [list(row) for row in rs.cartan]
+    det = sum(a[0][j] * _cofactor(a, 0, j) for j in range(l))
     denom = 1
-    weights = [_solve_linear(gram, [Fraction(rs.d[i]) * (j == i) for j in range(l)]) for i in range(l)]
     for i in range(l):
         for j in range(l):
-            denom = lcm(denom, (rs.d[j] * weights[i][j]).denominator)
+            denom = lcm(denom, det // gcd(det, rs.d[j] * _cofactor(a, i, j)))
     # Kostant: with n_k positive roots of height k, the exponent m occurs
     # n_m - n_(m+1) times, and |W| is the product of the m + 1
     heights = [sum(b) for b in rs.positive_roots]
@@ -213,7 +197,7 @@ def constants(rs: RootSystem) -> LieConstants:
     weyl_order = 1
     for m in range(1, len(n) - 1):
         weyl_order *= (m + 1) ** (n[m] - n[m + 1])
-    return LieConstants(d_max, denom, h, int(h_dual_frac), int(det), weyl_order)
+    return LieConstants(d_max, denom, h, 1 + h_dual, det, weyl_order)
 
 
 def _require_admissible_size(rs: RootSystem, r: int) -> None:
@@ -239,7 +223,7 @@ def gauss_sum(rs: RootSystem, r: int) -> CyclotomicInt:
                 q += ci * (ci * row[i] + 2 * sum(mu[j] * row[j] for j in range(i + 1, l)))
         if q % 2:
             raise RuntimeError("(mu|mu) came out odd on the root lattice")
-        e = q // 2 + sum(c * di for c, di in zip(mu, rs.d))
+        e = q // 2 + rs.rho_pairing(mu)
         counts[e % r] += 1
     return make(r, enumerate(counts))
 
@@ -268,26 +252,22 @@ def kernel_size(rs: RootSystem, r: int) -> int:
     return r ** (l - rank)
 
 
-def f_unknot(rs: RootSystem, r: int, sign: int = 1) -> CyclotomicInt:
+def f_unknot(rs: RootSystem, r: int) -> CyclotomicInt:
     """Unknot normalization value, exactly: gamma over
-    prod(1 - xi^(beta|rho)) over the positive roots beta, conjugated for
-    sign -1.  The quotient always lies in Z[xi].
+    prod(1 - xi^(beta|rho)) over the positive roots beta.  The quotient
+    always lies in Z[xi].  Its mirror, conj(gamma) over
+    prod(1 - xi^-(beta|rho)), is its complex conjugate.
 
-    Each factor 1 - xi^e, e = (beta|rho) * sign, costs one exact O(r)
-    division, so the quotient is a chain of |Phi+| of them.  The chain
-    cannot fail: for prime r > d*h_dual the Gram form is nondegenerate
-    mod r, so gamma times its conjugate is r^l and gamma has (1 - xi)-adic
-    valuation l(r-1)/2, at least |Phi+| = l*h/2 because r > h."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    Each factor 1 - xi^(beta|rho) costs one exact O(r) division, so the
+    quotient is a chain of |Phi+| of them.  The chain cannot fail: for
+    prime r > d*h_dual the Gram form is nondegenerate mod r, so gamma
+    times its conjugate is r^l and gamma has (1 - xi)-adic valuation
+    l(r-1)/2, at least |Phi+| = l*h/2 because r > h."""
     _require_admissible_size(rs, r)
     quotient = gauss_sum(rs, r)
-    if sign == -1:
-        quotient = quotient.conjugate()
     for beta in rs.positive_roots:
-        e = int(rs.bilinear(beta, rs.rho_coords)) * sign
         try:
-            quotient = divide_by_one_minus_xi_power(quotient, e)
+            quotient = divide_by_one_minus_xi_power(quotient, rs.rho_pairing(beta))
         except NotDivisibleError as exc:
             raise AssertionError("unknot normalization left Z[xi]") from exc  # unreachable
     return quotient
@@ -305,23 +285,22 @@ def verify_gauss_magnitude(rs: RootSystem, r: int) -> bool:
 
 def verify_ratio(rs: RootSystem, r: int) -> tuple[bool, int]:
     """The ratio law F(+) = omega * xi^(-E) * F(-) in Z[xi], with
-    E = ((r+1)^2+2)|rho|^2 and omega = +-1.
+    F(-) = conj F(+), E = ((r+1)^2+2)|rho|^2 and omega = +-1.
 
     Returns (True, omega) when one sign makes it an identity and
     (False, 0) when neither does.  Raises if E is not an integer, which
-    would require 2r-th roots.  Multiplying by xi^(-E) moves the
-    coefficient of xi^i to xi^(i-E), so it is a re-indexing."""
+    would require 2r-th roots: with |rho|^2 = (2rho|2rho)/4, E is
+    integral exactly when 4 divides ((r+1)^2+2)(2rho|2rho).
+    xi^(-E) conj F is the twisted conjugate, a re-indexing."""
     _require_admissible_size(rs, r)
-    rho_sq = rs.bilinear(rs.rho_coords, rs.rho_coords)
-    exponent = ((r + 1) ** 2 + 2) * Fraction(rho_sq)
-    if exponent.denominator != 1:
-        raise ValueError(f"exponent ((r+1)^2+2)|rho|^2 = {exponent} is not integral")
-    f_plus = f_unknot(rs, r, 1)
-    f_minus = f_unknot(rs, r, -1)
-    target = make(r, ((i - int(exponent), c) for i, c in enumerate(f_minus.coeffs)))
-    if f_plus == target:
+    exponent, rest = divmod(((r + 1) ** 2 + 2) * rs.bilinear(rs.two_rho, rs.two_rho), 4)
+    if rest:
+        raise ValueError(f"exponent ((r+1)^2+2)|rho|^2 is not integral at r = {r}")
+    f = f_unknot(rs, r)
+    target = twist_conjugate(f, -exponent)
+    if f == target:
         return True, 1
-    if f_plus == -target:
+    if f == -target:
         return True, -1
     return False, 0
 

@@ -9,14 +9,21 @@ from __future__ import annotations
 
 import math
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first 13 primes as Miller-Rabin bases decide primality exactly below
+# psi_13 (Sorenson and Webster, Math. Comp. 86, 2017); the first 12 only
+# below psi_12 = 318665857834031151167461, a strong pseudoprime to them
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
 
 # json interop: integers beyond IEEE-754 exactness travel as decimal strings
 _JSON_INT_LIMIT = 2**53
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for every n below 3.3e24."""
+    """Deterministic Miller-Rabin, exact for every n below
+    psi_13 = 3317044064679887385961981; ValueError from there on."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"primality is decided only below {_MR_LIMIT}")
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -35,7 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclo import CyclotomicInt, cyclo_to_json, divide_power_vector, make, ohtsuki_digits
+from .cyclo import (
+    CyclotomicInt,
+    cyclo_to_json,
+    divide_power_vector,
+    make,
+    ohtsuki_digits,
+    twist_conjugate,
+)
 from .liedata import RootSystem, admissible_r, build_root_system
 from .modular import crt_symmetric, encode_int, factorize, fp_divides, fp_gcd, is_prime
 
@@ -52,15 +59,10 @@ class TauValue:
     """One manifold invariant at one prime level."""
 
     manifold_id: str
-    r: int
     value: CyclotomicInt
 
-    def __post_init__(self) -> None:
-        if self.value.r != self.r:
-            raise ValueError("value lives at the wrong root of unity")
-
     def to_json(self) -> dict:
-        return {"manifold": self.manifold_id, "r": self.r, "value": cyclo_to_json(self.value)}
+        return {"manifold": self.manifold_id, "r": self.value.r, "value": cyclo_to_json(self.value)}
 
 
 def _require_level(r: int) -> None:
@@ -89,20 +91,20 @@ def _tau_sum(r: int, front_exponent) -> CyclotomicInt:
 def tau_poincare(r: int) -> TauValue:
     """Invariant of the Poincare sphere (-1 surgery on the left trefoil)."""
     _require_level(r)
-    return TauValue("poincare", r, _tau_sum(r, lambda n: n))
+    return TauValue("poincare", _tau_sum(r, lambda n: n))
 
 
 def tau_brieskorn237(r: int) -> TauValue:
     """Invariant of the Brieskorn sphere Sigma(2,3,7)."""
     _require_level(r)
-    return TauValue("brieskorn_2_3_7", r, _tau_sum(r, lambda n: -n * (n + 2)))
+    return TauValue("brieskorn_2_3_7", _tau_sum(r, lambda n: -n * (n + 2)))
 
 
 def tau_s3(r: int) -> TauValue:
     """Normalization baseline: the empty surgery has invariant 1."""
     if not is_prime(r):
         raise ValueError(f"r = {r} must be prime")
-    return TauValue("s3", r, CyclotomicInt.one(r))
+    return TauValue("s3", CyclotomicInt.one(r))
 
 
 def tau_for(manifold_id: str, r: int) -> TauValue:
@@ -122,12 +124,6 @@ def tau_for(manifold_id: str, r: int) -> TauValue:
 def coeff_table(x: CyclotomicInt, depth: int) -> tuple[tuple[int, int], ...]:
     """Rows (n, a_n) of the Ohtsuki expansion of x, n = 0..depth."""
     return tuple(enumerate(ohtsuki_digits(x, depth)))
-
-
-def twist_conjugate(x: CyclotomicInt, v: int) -> CyclotomicInt:
-    """xi^v times the complex conjugate of x: the coefficient of xi^i
-    moves to xi^(v - i), in O(r)."""
-    return make(x.r, ((v - i, c) for i, c in enumerate(x.coeffs)))
 
 
 def _self_twists(x: CyclotomicInt) -> tuple[int, ...]:

@@ -6,8 +6,12 @@ route that `tau.quotient_congruence_test` batches, `schoolbook_product` the
 coordinate double loop that the packed Z[xi] product replaced,
 `divide_by_one_minus_xi` and `twisted_division` the partial-sum division
 by 1 - xi and the twist-divide-twist route to 1 - xi^e that
-`cyclo.divide_power_vector` replaced, and the two identity checks are
-facts about Z[T] and the eta moduli that the congruences rest on.  The
+`cyclo.divide_power_vector` replaced, `mirror_unknot` the chain of
+divisions by 1 - xi^-(beta|rho) that the conjugate of `liedata.f_unknot`
+replaced, `det_fraction` and `solve_linear` the rational elimination that
+the integer cofactors of `liedata.constants` replaced, and the two
+identity checks are facts about Z[T] and the eta moduli that the
+congruences rest on.  The
 small predicates below them (divisibility, residues, braid permutations,
 free loops, root pairings, the resummed Ohtsuki expansion) state in the
 tests what a result must satisfy.
@@ -16,9 +20,16 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
-from qperiod.cyclo import CyclotomicInt, NotDivisibleError, OhtsukiExpansion, make
-from qperiod.liedata import RootSystem
+from qperiod.cyclo import (
+    CyclotomicInt,
+    NotDivisibleError,
+    OhtsukiExpansion,
+    divide_by_one_minus_xi_power,
+    make,
+)
+from qperiod.liedata import RootSystem, gauss_sum
 from qperiod.linkdiag import BraidWord, PlanarDiagram
 from qperiod.modular import fp_divides, fp_gcd, fp_trim, is_prime
 from qperiod.qpoly import HalfLaurent, eta, quantum_integer, reduce_mod
@@ -117,6 +128,53 @@ def twisted_division(x: CyclotomicInt, e: int) -> CyclotomicInt:
     twist xi -> xi^e carries 1 - xi to 1 - xi^e, so the quotient is the
     twist by e of (x twisted by 1/e) / (1 - xi)."""
     return divide_by_one_minus_xi(x.galois(pow(e, -1, x.r))).galois(e)
+
+
+def mirror_unknot(rs: RootSystem, r: int) -> CyclotomicInt:
+    """conj(gamma) over prod(1 - xi^-(beta|rho)) over the positive roots
+    beta, one exact division per root."""
+    quotient = gauss_sum(rs, r).conjugate()
+    for beta in rs.positive_roots:
+        quotient = divide_by_one_minus_xi_power(quotient, -rs.rho_pairing(beta))
+    return quotient
+
+
+def det_fraction(rows: list[list[Fraction]]) -> Fraction:
+    """Determinant by Gaussian elimination over Q."""
+    n = len(rows)
+    m = [row[:] for row in rows]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = 1 / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                factor = m[r][col] * inv
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
+    """The solution of rows * x = rhs by Gauss-Jordan elimination over Q;
+    rows must be invertible."""
+    n = len(rows)
+    m = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if m[r][col])
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col]:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return [m[r][n] for r in range(n)]
 
 
 def epsilon_residue(x: CyclotomicInt) -> int:

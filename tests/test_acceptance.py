@@ -7,7 +7,7 @@ import random
 import time
 
 from oracles import binomial_expansion_identity, complex_eval, reconstruct, remark_identity_check
-from qperiod.cyclo import CyclotomicInt, cyclo_to_json, make, ohtsuki_expansion
+from qperiod.cyclo import CyclotomicInt, cyclo_to_json, make, ohtsuki_expansion, twist_conjugate
 from qperiod.liedata import build_root_system, gauss_sum, kernel_size, verify_ratio
 from qperiod.linkdiag import (
     BraidWord,
@@ -17,13 +17,7 @@ from qperiod.linkdiag import (
     yokota_check_braid,
 )
 from qperiod.qpoly import HalfLaurent
-from qperiod.tau import (
-    obstruction_test,
-    period_discriminant,
-    tau_brieskorn237,
-    tau_poincare,
-    twist_conjugate,
-)
+from qperiod.tau import obstruction_test, period_discriminant, tau_brieskorn237, tau_poincare
 
 
 def _verdict(num: int, label: str, body) -> None:

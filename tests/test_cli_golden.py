@@ -49,6 +49,10 @@ CASES = [
     "tau --manifold s3 --r 5 --depth 4",
     "tau --manifold poincare --r 7 --depth -1",
     "tau --manifold poincare",
+    # psi_12, a strong pseudoprime to the bases 2..37, and psi_13, where
+    # is_prime stops deciding
+    "tau --manifold s3 --r 318665857834031151167461",
+    "tau --manifold s3 --r 3317044064679887385961981",
     # obstruct
     "obstruct --manifold poincare --r 7",
     "obstruct --manifold poincare --r 7 --json",
@@ -74,6 +78,7 @@ CASES = [
     "discriminant --manifold poincare --primes 7,x",
     "discriminant --manifold poincare --primes ,",
     "discriminant --manifold poincare --primes=",
+    "discriminant --manifold poincare --primes 7,3317044064679887385961981",
     # ohtsuki
     "ohtsuki --manifold poincare --r 7",
     "ohtsuki --manifold poincare --r 7 --json",
@@ -117,6 +122,8 @@ CASES = [
     "yokota --p 3",
     "yokota --pd {pd}/absent.pd --p 3",
     "yokota --pd {pd}/long.pd --p 3",
+    "yokota --braid 'strands 2 : 1 1 1' --p 318665857834031151167461",
+    "yokota --braid 'strands 2 : 1 1 1' --p 3317044064679887385961981",
     # gauss
     "gauss --type A --rank 1 --r 5",
     "gauss --type A --rank 1 --r 5 --json",
@@ -131,6 +138,7 @@ CASES = [
     "gauss --type A --rank 2 --r 7 --max-cosets 48",
     "gauss --type A --rank 2 --r 7 --max-cosets 49 --json",
     "gauss --type A --r 7",
+    "gauss --type A --rank 1 --r 3317044064679887385961981",
     # liedata
     "liedata --type G --rank 2",
     "liedata --type G --rank 2 --json",

@@ -1,17 +1,27 @@
 """Root-system construction against classical tables, the exact
 Gauss-sum magnitude and ratio laws against a numeric cross-check, and
-the unknot normalization and Weyl order against the brute-force
+the unknot normalization, its mirror, the integer Cartan determinant,
+weight denominator and Weyl order against the brute-force and rational
 routines they replaced."""
 from __future__ import annotations
 
 import cmath
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 import qperiod.liedata as liedata_module
-from oracles import complex_eval, divide_by_one_minus_xi, one_minus_xi, pairing
+from oracles import (
+    complex_eval,
+    det_fraction,
+    divide_by_one_minus_xi,
+    mirror_unknot,
+    one_minus_xi,
+    pairing,
+    solve_linear,
+)
 from qperiod.cyclo import CyclotomicInt, make
 from qperiod.liedata import (
     RANK_CAPS,
@@ -72,14 +82,14 @@ CLASSICAL = {
 def test_a1_structure():
     rs = build_root_system("A", 1)
     assert rs.positive_roots == ((1,),)
-    assert rs.rho_coords == (Fraction(1, 2),)
+    assert rs.two_rho == (1,)
     assert rs.bilinear((1,), (1,)) == 2
 
 
 def test_a2_structure():
     rs = build_root_system("A", 2)
     assert set(rs.positive_roots) == {(1, 0), (0, 1), (1, 1)}
-    assert rs.rho_coords == (Fraction(1), Fraction(1))
+    assert rs.two_rho == (2, 2)
 
 
 def test_b2_structure():
@@ -102,9 +112,8 @@ def test_positive_root_count_is_rank_times_h_over_two(family, rank):
 def orbit_weyl_order(rs) -> int:
     """|W| as the size of the Weyl orbit of 2 rho, which is regular, so
     its stabilizer is trivial; walked by simple reflections."""
-    two_rho = tuple(int(2 * c) for c in rs.rho_coords)
-    orbit = {two_rho}
-    frontier = [two_rho]
+    orbit = {rs.two_rho}
+    frontier = [rs.two_rho]
     while frontier:
         x = frontier.pop()
         for i in range(rs.rank):
@@ -144,12 +153,37 @@ def test_weight_form_denominators(family, rank, D):
     assert constants(build_root_system(family, rank)).D == D
 
 
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_integer_det_and_denominator_match_rational_elimination(family, rank):
+    # det A by elimination over Q, and D as the lcm of the denominators of
+    # d_j (A^-1)_ji, each column of A^-1 solved from the Gram matrix
+    rs = build_root_system(family, rank)
+    l = rs.rank
+    det = det_fraction([[Fraction(c) for c in row] for row in rs.cartan])
+    gram = [[Fraction(rs.d[i] * rs.cartan[i][j]) for j in range(l)] for i in range(l)]
+    denom = 1
+    for i in range(l):
+        weight = solve_linear(gram, [Fraction(rs.d[i] * (j == i)) for j in range(l)])
+        for j in range(l):
+            denom = lcm(denom, (rs.d[j] * weight[j]).denominator)
+    cs = constants(rs)
+    assert (cs.det_cartan, cs.D) == (det, denom)
+
+
 def test_rho_norms():
-    assert build_root_system("A", 1).bilinear((Fraction(1, 2),), (Fraction(1, 2),)) == Fraction(1, 2)
-    rs = build_root_system("B", 2)
-    assert rs.bilinear(rs.rho_coords, rs.rho_coords) == 5
-    rs = build_root_system("G", 2)
-    assert rs.bilinear(rs.rho_coords, rs.rho_coords) == 14
+    # |rho|^2 = (2 rho|2 rho) / 4: 1/2 for A1, 5 for B2, 14 for G2
+    for family, rank, norm in [("A", 1, Fraction(1, 2)), ("B", 2, 5), ("G", 2, 14)]:
+        rs = build_root_system(family, rank)
+        assert rs.bilinear(rs.two_rho, rs.two_rho) == 4 * norm
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_rho_pairing_is_half_the_two_rho_form(family, rank):
+    rs = build_root_system(family, rank)
+    rng = random.Random(20261018 + rank)
+    for _ in range(200):
+        mu = tuple(rng.randrange(-9, 10) for _ in range(rank))
+        assert 2 * rs.rho_pairing(mu) == rs.bilinear(mu, rs.two_rho)
 
 
 @pytest.mark.parametrize("family,rank", [("E", 6), ("E", 8), ("A", 7), ("A", 0), ("B", 1), ("D", 3), ("D", 6), ("H", 2)])
@@ -211,28 +245,30 @@ def test_gauss_magnitude_grid(family, rank, r):
 
 def test_f_unknot_a1_r5_divides_exactly():
     rs = build_root_system("A", 1)
-    num = f_unknot(rs, 5, 1)
+    num = f_unknot(rs, 5)
     assert num == divide_by_one_minus_xi(gauss_sum(rs, 5))
     assert num * one_minus_xi(5) == gauss_sum(rs, 5)
 
 
 def test_f_unknot_sign_is_conjugation():
+    # the mirror chain conj(gamma) / prod(1 - xi^-(beta|rho)) is conj F
     for family, rank, r in [("A", 1, 5), ("A", 1, 7), ("A", 2, 7)]:
         rs = build_root_system(family, rank)
-        value_p = complex_eval(f_unknot(rs, r, 1))
-        value_m = complex_eval(f_unknot(rs, r, -1))
+        value_p = complex_eval(f_unknot(rs, r))
+        value_m = complex_eval(mirror_unknot(rs, r))
         assert abs(value_m - value_p.conjugate()) < 1e-9
+        assert mirror_unknot(rs, r) == f_unknot(rs, r).conjugate()
 
 
 def test_f_unknot_fraction_consistency():
     # the quotient must reproduce gamma over the root-pairing product
     for family, rank, r in [("A", 1, 11), ("A", 2, 5), ("A", 2, 11)]:
         rs = build_root_system(family, rank)
-        lhs = complex_eval(f_unknot(rs, r, 1))
+        lhs = complex_eval(f_unknot(rs, r))
         gamma = complex_eval(gauss_sum(rs, r))
         prod = 1 + 0j
         for beta in rs.positive_roots:
-            e = int(rs.bilinear(beta, rs.rho_coords))
+            e = rs.rho_pairing(beta)
             prod *= 1 - complex_eval(CyclotomicInt.power(r, e))
         assert abs(lhs - gamma / prod) < 1e-9
 
@@ -295,7 +331,17 @@ def euclid_quotient(num: CyclotomicInt, den: CyclotomicInt) -> CyclotomicInt | N
 
 
 def unknot_factors(rs, sign: int) -> list[int]:
-    return [int(rs.bilinear(beta, rs.rho_coords)) * sign for beta in rs.positive_roots]
+    return [rs.rho_pairing(beta) * sign for beta in rs.positive_roots]
+
+
+def signed_unknot(rs, r: int, sign: int) -> CyclotomicInt:
+    """F for sign 1; for sign -1 its conjugate, checked against the mirror
+    chain of divisions."""
+    num = f_unknot(rs, r)
+    if sign == 1:
+        return num
+    assert num.conjugate() == mirror_unknot(rs, r)
+    return num.conjugate()
 
 
 def times_one_minus_xi_power(x: CyclotomicInt, e: int) -> CyclotomicInt:
@@ -311,7 +357,7 @@ def test_f_unknot_matches_euclid_reference(family, rank, r, sign):
     for e in unknot_factors(rs, sign):
         den = den * make(r, {0: 1, e: -1})
     gamma = gauss_sum(rs, r)
-    num = f_unknot(rs, r, sign)
+    num = signed_unknot(rs, r, sign)
     assert num == euclid_quotient(gamma if sign == 1 else gamma.conjugate(), den)
 
 
@@ -325,7 +371,7 @@ def test_f_unknot_times_denominator_is_gamma(family, rank):
             break
         gamma = gauss_sum(rs, r)
         for sign, want in ((1, gamma), (-1, gamma.conjugate())):
-            num = f_unknot(rs, r, sign)
+            num = signed_unknot(rs, r, sign)
             for e in unknot_factors(rs, sign):
                 num = times_one_minus_xi_power(num, e)
             assert num == want, (r, sign)
@@ -335,11 +381,6 @@ def test_euclid_reference_sees_non_integral_quotients():
     # 1/(1 - xi) is not in Z[xi]; (1 - xi^2)/(1 - xi) = 1 + xi is
     assert euclid_quotient(CyclotomicInt.one(7), one_minus_xi(7)) is None
     assert euclid_quotient(make(7, {0: 1, 2: -1}), one_minus_xi(7)) == make(7, {0: 1, 1: 1})
-
-
-def test_f_unknot_rejects_bad_sign():
-    with pytest.raises(ValueError, match="sign"):
-        f_unknot(build_root_system("A", 1), 5, 0)
 
 
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2)])
@@ -362,8 +403,8 @@ def test_exact_laws_agree_with_numeric_cross_check(family, rank, r):
     rs = build_root_system(family, rank)
     z = complex_eval(gauss_sum(rs, r))
     assert verify_gauss_magnitude(rs, r) is (abs(abs(z) ** 2 - r**rank) < 1e-9 * r**rank)
-    ratio = complex_eval(f_unknot(rs, r, 1)) / complex_eval(f_unknot(rs, r, -1))
-    exponent = ((r + 1) ** 2 + 2) * rs.bilinear(rs.rho_coords, rs.rho_coords)
+    ratio = complex_eval(f_unknot(rs, r)) / complex_eval(mirror_unknot(rs, r))
+    exponent = ((r + 1) ** 2 + 2) * Fraction(rs.bilinear(rs.two_rho, rs.two_rho), 4)
     target = cmath.exp(-2j * cmath.pi * int(exponent) / r)
     numeric = [omega for omega in (1, -1) if abs(ratio - omega * target) < 1e-9]
     assert verify_ratio(rs, r) == ((True, numeric[0]) if numeric else (False, 0))
@@ -381,6 +422,20 @@ def test_magnitude_law_fails_on_a_wrong_gauss_sum(monkeypatch):
     assert verify_gauss_magnitude(rs, 7)
     monkeypatch.setattr(liedata_module, "gauss_sum", lambda rs, r: 2 * exact(rs, r))
     assert verify_gauss_magnitude(rs, 7) is False
+
+
+def test_gauss_report_sums_three_times(monkeypatch):
+    # the report's gamma, the magnitude law's and the one F of the ratio law
+    rs = build_root_system("A", 2)
+    calls = []
+
+    def counting_gauss_sum(rs, r):
+        calls.append((rs, r))
+        return gauss_sum(rs, r)
+
+    monkeypatch.setattr(liedata_module, "gauss_sum", counting_gauss_sum)
+    gauss_report(rs, 7)
+    assert calls == [(rs, 7)] * 3
 
 
 def test_ratio_law_fails_on_a_twisted_gauss_sum(monkeypatch):

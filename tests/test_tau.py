@@ -10,11 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import divisible_by, ideal_member
-from qperiod.cyclo import CyclotomicInt, make, ohtsuki_expansion
+from qperiod.cyclo import CyclotomicInt, make, ohtsuki_expansion, twist_conjugate
 from qperiod.liedata import build_root_system
 from qperiod.tau import (
     DiscriminantReport,
-    TauValue,
     coeff_table,
     obstruction_test,
     period_discriminant,
@@ -23,7 +22,6 @@ from qperiod.tau import (
     tau_for,
     tau_poincare,
     tau_s3,
-    twist_conjugate,
     _tau_sum,
 )
 from qperiod.modular import crt_symmetric, is_prime
@@ -62,11 +60,6 @@ def test_tau_rejects_bad_level(r: int) -> None:
         tau_poincare(r)
     with pytest.raises(ValueError):
         tau_brieskorn237(r)
-
-
-def test_tau_value_ring_mismatch_rejected() -> None:
-    with pytest.raises(ValueError, match="wrong root of unity"):
-        TauValue("custom", 7, CyclotomicInt.one(5))
 
 
 def test_tau_for_dispatch() -> None:
