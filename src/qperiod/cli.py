@@ -14,8 +14,9 @@ fit exactly in a double travel as decimal strings.  The default table
 output is for humans and aligns coefficient columns.
 
 Exit codes: 0 success (a failed congruence is still a successful check),
-2 usage error (bad flags, eagerly rejected arguments), 1 computation
-error, or an output pipe its reader closed (with nothing on stderr)."""
+2 usage error (bad flags, eagerly rejected arguments, an input over a cost
+cap), 1 computation error, or an output pipe its reader closed (with
+nothing on stderr)."""
 from __future__ import annotations
 
 import argparse
@@ -395,7 +396,10 @@ def main(argv: list[str] | None = None) -> int:
         report, text = COMMANDS[args.subcommand].run(args)
         print(json.dumps(report) if args.json else "\n".join(text()))
         sys.stdout.flush()
-    except (ValueError, CrossingLimitError, NotDivisibleError, ArithmeticError) as exc:
+    except CrossingLimitError as exc:
+        # a cost refusal, so a usage error; CrossingLimitError is a ValueError
+        args.sub.error(str(exc))
+    except (ValueError, NotDivisibleError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

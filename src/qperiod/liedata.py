@@ -288,14 +288,12 @@ def verify_ratio(rs: RootSystem, r: int) -> tuple[bool, int]:
     F(-) = conj F(+), E = ((r+1)^2+2)|rho|^2 and omega = +-1.
 
     Returns (True, omega) when one sign makes it an identity and
-    (False, 0) when neither does.  Raises if E is not an integer, which
-    would require 2r-th roots: with |rho|^2 = (2rho|2rho)/4, E is
-    integral exactly when 4 divides ((r+1)^2+2)(2rho|2rho).
-    xi^(-E) conj F is the twisted conjugate, a re-indexing."""
+    (False, 0) when neither does.  With |rho|^2 = (2rho|2rho)/4, E is
+    ((r+1)^2+2)(2rho|2rho)/4.  xi^(-E) conj F is the twisted conjugate,
+    a re-indexing."""
     _require_admissible_size(rs, r)
-    exponent, rest = divmod(((r + 1) ** 2 + 2) * rs.bilinear(rs.two_rho, rs.two_rho), 4)
-    if rest:
-        raise ValueError(f"exponent ((r+1)^2+2)|rho|^2 is not integral at r = {r}")
+    # r is odd, so (r+1)^2 + 2 = 2 mod 4; (2rho|2rho) is an even lattice norm
+    exponent = ((r + 1) ** 2 + 2) * rs.bilinear(rs.two_rho, rs.two_rho) // 4
     f = f_unknot(rs, r)
     target = twist_conjugate(f, -exponent)
     if f == target:

@@ -14,6 +14,10 @@ Conventions, fixed once and used everywhere:
   A-smoothing joins (a, b) and (c, d); the B-smoothing joins (a, d) and
   (b, c).  With arc orientations known, the crossing is positive exactly
   when the over-strand runs d -> b.
+* A PD file lists each component's arcs in flow order and the signs are
+  derived from it.  A two-arc component takes its direction from a
+  crossing where it passes under; one that only passes over has no
+  derivable orientation, and the file is refused.
 * Bracket polynomials live in the variable A with loop value
   -A^2 - A^(-2) and <unknot> = 1; the Jones polynomial is
   (-A)^(-3w) <D> under t = A^(-4), reported in the t-normalization.
@@ -22,11 +26,14 @@ Two bracket evaluators are provided and cross-checked in the tests: a
 direct state sum over a planar diagram (exponential in crossings, guarded
 by a cap) and a Temperley-Lieb transfer evaluation along a braid word
 (polynomial in word length for fixed strand count), which keeps the
-periodicity checks fast for words raised to prime powers.
+periodicity checks fast for words raised to prime powers.  Each
+periodicity check compares two Jones-type values modulo (p, generator)
+and reports through one routine.
 """
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .modular import is_prime
@@ -103,37 +110,43 @@ class PlanarDiagram:
             raise ValueError("one sign per crossing required")
         if not self.components:
             raise ValueError("diagram needs at least one component")
-        comp_arcs: list[int] = [a for comp in self.components for a in comp]
-        if len(set(comp_arcs)) != len(comp_arcs):
-            raise ValueError("components must partition the arcs")
+        _check_crossings(self.crossings, _successors(self.components))
         uses: dict[int, int] = {}
         for x in self.crossings:
             for a in x:
                 uses[a] = uses.get(a, 0) + 1
-        arcset = set(comp_arcs)
         for a, n in uses.items():
-            if a not in arcset:
-                raise ValueError(f"arc {a} appears at a crossing but in no component")
             if n != 2:
                 raise ValueError(f"arc {a} must appear exactly twice at crossings, saw {n}")
-        succ = self._successors()
-        for (a, _, c, _), _s in zip(self.crossings, self.signs):
-            if succ[a] != c:
-                raise ValueError(f"under-strand {a} -> {c} contradicts component order")
         for comp in self.components:
             if len(comp) == 1 and comp[0] in uses:
                 raise ValueError(f"arc {comp[0]} cannot both cross and close a free loop")
 
-    def _successors(self) -> dict[int, int]:
-        succ: dict[int, int] = {}
-        for comp in self.components:
-            for i, a in enumerate(comp):
-                succ[a] = comp[(i + 1) % len(comp)]
-        return succ
-
     @property
     def arcs(self) -> tuple[int, ...]:
         return tuple(a for comp in self.components for a in comp)
+
+
+def _successors(components: Sequence[Sequence[int]]) -> dict[int, int]:
+    """The next arc along each arc's component; an arc listed twice is refused."""
+    succ: dict[int, int] = {}
+    for comp in components:
+        for i, a in enumerate(comp):
+            if a in succ:
+                raise ValueError(f"arc {a} listed twice in components")
+            succ[a] = comp[(i + 1) % len(comp)]
+    return succ
+
+
+def _check_crossings(crossings: Sequence[tuple[int, int, int, int]], succ: dict[int, int]) -> None:
+    """Every arc at a crossing lies on a component, and each under-strand
+    runs a -> c along it."""
+    for a, b, c, d in crossings:
+        for arc in (a, b, c, d):
+            if arc not in succ:
+                raise ValueError(f"arc {arc} at a crossing is missing from components")
+        if succ[a] != c:
+            raise ValueError(f"crossing X({a},{b},{c},{d}): under-strand must run {a} -> {c}")
 
 
 def closure(b: BraidWord) -> PlanarDiagram:
@@ -156,22 +169,12 @@ def closure(b: BraidWord) -> PlanarDiagram:
             raw.append((right, left, bl, br))
             signs.append(-1)
         current[i], current[i + 1] = bl, br
-    # the closure identifies the bottom arc at each position with the top arc
-    parent = list(range(next_arc))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for pos in range(n):
-        ra, rb = find(pos + 1), find(current[pos])
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    reps = sorted({find(a) for a in range(1, next_arc)})
+    # the closure identifies the bottom arc at each position with the top
+    # arc there; that bottom arc is the top arc itself or a fresh label
+    top = {current[pos]: pos + 1 for pos in range(n)}
+    reps = sorted({top.get(a, a) for a in range(1, next_arc)})
     relabel = {rep: i + 1 for i, rep in enumerate(reps)}
-    label = {a: relabel[find(a)] for a in range(1, next_arc)}
+    label = {a: relabel[top.get(a, a)] for a in range(1, next_arc)}
     crossings = tuple(tuple(label[a] for a in x) for x in raw)
     # successor map gives the oriented components
     succ: dict[int, int] = {}
@@ -181,22 +184,15 @@ def closure(b: BraidWord) -> PlanarDiagram:
             succ[d] = bb
         else:
             succ[bb] = d
-    all_arcs = sorted(set(label.values()))
-    for a in all_arcs:
-        succ.setdefault(a, a)  # free loop
     comps: list[tuple[int, ...]] = []
     seen: set[int] = set()
-    for a in all_arcs:
-        if a in seen:
-            continue
-        cyc = [a]
-        seen.add(a)
-        nxt = succ[a]
-        while nxt != a:
-            cyc.append(nxt)
-            seen.add(nxt)
-            nxt = succ[nxt]
-        comps.append(tuple(cyc))
+    for a in range(1, len(reps) + 1):
+        if a not in seen:
+            cyc = [a]
+            while succ.get(cyc[-1], a) != a:  # an arc at no crossing is a free loop
+                cyc.append(succ[cyc[-1]])
+            seen.update(cyc)
+            comps.append(tuple(cyc))
     return PlanarDiagram(crossings, tuple(signs), tuple(comps))
 
 
@@ -224,18 +220,8 @@ def parse_pd(text: str) -> PlanarDiagram:
         raise ValueError(f"line {lineno}: cannot parse {line!r}")
     if not comps:
         raise ValueError("orientation block missing: need 'component ...' lines")
-    succ: dict[int, int] = {}
-    for comp in comps:
-        for i, a in enumerate(comp):
-            if a in succ:
-                raise ValueError(f"arc {a} listed twice in components")
-            succ[a] = comp[(i + 1) % len(comp)]
-    for a, bb, c, d in crossings:
-        for arc in (a, bb, c, d):
-            if arc not in succ:
-                raise ValueError(f"arc {arc} at a crossing is missing from components")
-        if succ.get(a) != c:
-            raise ValueError(f"crossing X({a},{bb},{c},{d}): under-strand must run {a} -> {c}")
+    succ = _successors(comps)
+    _check_crossings(crossings, succ)
     signs = _derive_signs(tuple(crossings), succ)
     return PlanarDiagram(tuple(crossings), signs, tuple(comps))
 
@@ -245,65 +231,42 @@ def _derive_signs(
 ) -> tuple[int, ...]:
     """Signs from orientation: positive iff the over-strand runs d -> b.
 
-    When the over-strand's two arcs form a two-arc component, the
-    successor map is cyclically symmetric and does not pick a direction;
-    then the arcs' other crossing slots break the tie (a slot is always an
-    arrival, c always a departure, and every arc arrives exactly once and
-    departs exactly once), propagated until all crossings resolve.
+    When the over-strand's arcs b, d form a two-arc component, the
+    successor map is cyclically symmetric and does not pick a direction.
+    The component's other passage breaks the tie when it runs under
+    there, since slot a is always an arrival and slot c a departure.  When
+    it passes over there too, that passage is the same symmetric pair, so
+    no orientation can be derived and the diagram is refused.
     """
-    occurrences: dict[int, list[tuple[int, int]]] = {}
+    spots: dict[int, list[tuple[int, int]]] = {}
     for k, x in enumerate(crossings):
         for slot, e in enumerate(x):
-            occurrences.setdefault(e, []).append((k, slot))
+            spots.setdefault(e, []).append((k, slot))
     over_in: dict[int, int] = {}  # crossing -> arc the over-strand arrives on
-
-    def slot_arrival(k: int, slot: int) -> bool | None:
-        if slot == 0:
-            return True
-        if slot == 2:
-            return False
-        if k not in over_in:
-            return None
-        return crossings[k][slot] == over_in[k]
-
-    def other_slot_arrival(e: int, here: tuple[int, int]) -> bool | None:
-        spots = [s for s in occurrences[e] if s != here]
-        if len(spots) != 1:
-            return None  # both occurrences inside one over-pass; hopeless
-        return slot_arrival(*spots[0])
-
-    pending = set(range(len(crossings)))
-    while pending:
-        progressed = False
-        for k in sorted(pending):
-            a, bb, c, d = crossings[k]
-            d_then_b = succ.get(d) == bb
-            b_then_d = succ.get(bb) == d
-            if not d_then_b and not b_then_d:
-                raise ValueError(
-                    f"crossing X({a},{bb},{c},{d}): over-strand {bb}-{d} has no orientation"
-                )
-            if d_then_b and not b_then_d:
-                over_in[k] = d
-            elif b_then_d and not d_then_b:
-                over_in[k] = bb
-            else:
-                arrives = other_slot_arrival(bb, (k, 1))
-                if arrives is not None:
-                    # bb arrives at its other slot iff it departs here
-                    over_in[k] = d if arrives else bb
-                else:
-                    arrives = other_slot_arrival(d, (k, 3))
-                    if arrives is None:
-                        continue
-                    over_in[k] = bb if arrives else d
-            pending.discard(k)
-            progressed = True
-        if not progressed:
-            ks = ", ".join(str(k) for k in sorted(pending))
-            raise ValueError(f"cannot orient the over-strand at crossings {ks}")
-    for e, spots in occurrences.items():
-        kinds = sorted(slot_arrival(*s) for s in spots)
+    undecided: list[int] = []
+    for k, (a, bb, c, d) in enumerate(crossings):
+        d_then_b, b_then_d = succ[d] == bb, succ[bb] == d
+        if not d_then_b and not b_then_d:
+            raise ValueError(
+                f"crossing X({a},{bb},{c},{d}): over-strand {bb}-{d} has no orientation"
+            )
+        if d_then_b != b_then_d:
+            over_in[k] = d if d_then_b else bb
+            continue
+        for slot, arc, other in ((1, bb, d), (3, d, bb)):
+            elsewhere = [s for s in spots[arc] if s != (k, slot)]
+            if len(elsewhere) == 1 and elsewhere[0][1] in (0, 2):
+                # the arc arrives at its other slot iff it departs here
+                over_in[k] = other if elsewhere[0][1] == 0 else arc
+                break
+        else:
+            undecided.append(k)
+    if undecided:
+        ks = ", ".join(map(str, undecided))
+        raise ValueError(f"cannot orient the over-strand at crossings {ks}")
+    for e, where in spots.items():
+        kinds = sorted(slot == 0 or (slot != 2 and crossings[k][slot] == over_in[k])
+                       for k, slot in where)
         if kinds != [False, True]:
             raise ValueError(f"arc {e} does not arrive exactly once and depart exactly once")
     return tuple(1 if over_in[k] == x[3] else -1 for k, x in enumerate(crossings))
@@ -531,17 +494,23 @@ class CongruenceReport:
         }
 
 
+def _require_odd_prime(p: int) -> None:
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"need an odd prime period, got {p}")
+
+
+def _congruence(lhs: HalfLaurent, rhs: HalfLaurent, p: int, gen: HalfLaurent) -> CongruenceReport:
+    residual = reduce_mod(lhs - rhs, p, gen)
+    return CongruenceReport(residual.is_zero, p, lhs, rhs, residual)
+
+
 def murasugi_check(b: BraidWord, p: int) -> CongruenceReport:
     """Compare the closure of b^p against the p-th power of the closure of
     b modulo (p, eta_p(t)); the congruence holds whenever the big link is
     p-periodic with the small one as quotient, which is true here by
     construction."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"need an odd prime period, got {p}")
-    lhs = jones_of_braid(braid_power(b, p))
-    rhs = jones_of_braid(b) ** p
-    residual = reduce_mod(lhs - rhs, p, eta(p))
-    return CongruenceReport(residual.is_zero, p, lhs, rhs, residual)
+    _require_odd_prime(p)
+    return _congruence(jones_of_braid(braid_power(b, p)), jones_of_braid(b) ** p, p, eta(p))
 
 
 def p2_check(b: BraidWord, p: int) -> CongruenceReport:
@@ -550,33 +519,25 @@ def p2_check(b: BraidWord, p: int) -> CongruenceReport:
     if not is_prime(p):
         raise ValueError(f"need a prime period, got {p}")
     two = quantum_integer(2)
-    gen = two**p - two
     lhs = two_strand_invariant(jones_of_braid(braid_power(b, p)))
     rhs = two_strand_invariant(jones_of_braid(b)) ** p
-    residual = reduce_mod(lhs - rhs, p, gen)
-    return CongruenceReport(residual.is_zero, p, lhs, rhs, residual)
-
-
-def _yokota_from_jones(v: HalfLaurent, lk_doubled: int, p: int) -> CongruenceReport:
-    lhs = v
-    rhs = HalfLaurent.monomial(2 * lk_doubled) * v.mirror()
-    gen = HalfLaurent.from_dict({2 * p: 1, 0: -1})  # t^p - 1
-    residual = reduce_mod(lhs - rhs, p, gen)
-    return CongruenceReport(residual.is_zero, p, lhs, rhs, residual)
+    return _congruence(lhs, rhs, p, two**p - two)
 
 
 def yokota_check(d: PlanarDiagram, p: int) -> CongruenceReport:
     """Self-congruence V(t) = t^(2 lk) V(1/t) mod (p, t^p - 1), a necessary
     condition for p-periodicity; odd primes only."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"need an odd prime period, got {p}")
-    return _yokota_from_jones(jones(d), linking_data(d).total_lk_doubled, p)
+    _require_odd_prime(p)
+    return _yokota(jones(d), d, p)
 
 
 def yokota_check_braid(b: BraidWord, p: int) -> CongruenceReport:
     """yokota_check for a braid closure, with the Jones value computed by
     the transfer bracket so long powers stay cheap."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"need an odd prime period, got {p}")
-    lk2 = linking_data(closure(b)).total_lk_doubled
-    return _yokota_from_jones(jones_of_braid(b), lk2, p)
+    _require_odd_prime(p)
+    return _yokota(jones_of_braid(b), closure(b), p)
+
+
+def _yokota(v: HalfLaurent, d: PlanarDiagram, p: int) -> CongruenceReport:
+    rhs = HalfLaurent.monomial(2 * linking_data(d).total_lk_doubled) * v.mirror()
+    return _congruence(v, rhs, p, HalfLaurent.from_dict({2 * p: 1, 0: -1}))  # t^p - 1

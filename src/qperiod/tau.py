@@ -197,16 +197,18 @@ def quotient_congruence_test(
     An empty result is evidence (in the Z[xi] image of the full ring)
     against the manifold of x_m being a p-fold cyclic branched cover of
     the manifold of x_m'.  p must not divide r times 2, the Weyl order of
-    A1."""
+    A1.  Modulo p, Frobenius gives x^p = sigma_p(x), the Galois re-index
+    xi -> xi^p, so neither (x_m')^p nor the generator is multiplied out:
+    the generator is xi^p + xi^-p - xi - xi^-1, which spans the same
+    ideal with p."""
     if not is_prime(p):
         raise ValueError(f"p = {p} must be prime")
     if x_m.r != r or x_m_prime.r != r:
         raise ValueError("invariants live at the wrong root of unity")
     if (2 * r) % p == 0:
         raise ValueError(f"p = {p} must not divide r times the Weyl order")
-    half_trace = make(r, {1: 1, r - 1: 1})
-    gen = half_trace**p - half_trace
-    power = x_m_prime**p
+    gen = make(r, {p: 1, -p: 1, 1: -1, -1: -1})
+    power = x_m_prime.galois(p)
     # modulo p the ring is GF(p)[T] / (1 + T + ... + T^(r-1)), where (gen) is
     # generated by g = gcd(1 + T + ... + T^(r-1), gen), so membership in
     # (p, gen) is divisibility by g over GF(p); g is the same for every u

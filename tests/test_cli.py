@@ -43,6 +43,10 @@ SUBCOMMANDS = [
     "liedata",
 ]
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# subprocesses import the package from the checkout, without an install
+SRC_ENV = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+
 TREFOIL_PD = """\
 X(1,4,2,5)
 X(3,6,4,1)
@@ -303,8 +307,8 @@ def test_jones_pd_over_the_crossing_cap_is_refused(capsys, tmp_path) -> None:
     path = tmp_path / "long.pd"
     path.write_text(pd_text(closure(BraidWord(2, (1,) * (DEFAULT_CROSSING_CAP + 1)))), encoding="utf-8")
     code, out, err = run_cli(capsys, ["jones", "--pd", str(path)])
-    assert code == 1 and out == ""
-    assert err == "error: 25 crossings exceeds the state-sum cap 24\n"
+    assert code == 2 and out == ""
+    assert err.endswith("qperiod jones: error: 25 crossings exceeds the state-sum cap 24\n")
 
 
 def test_jones_malformed_pd_content_is_computation_error(capsys, tmp_path) -> None:
@@ -433,15 +437,14 @@ def test_json_output_is_byte_identical(capsys, argv: list[str]) -> None:
 
 
 def test_reproduce_tables_script_output_is_unchanged() -> None:
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     proc = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "reproduce_tables.py")],
+        [sys.executable, os.path.join(ROOT, "scripts", "reproduce_tables.py")],
         capture_output=True,
-        env={**os.environ, "PYTHONPATH": os.path.join(root, "src")},
+        env=SRC_ENV,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    with open(os.path.join(root, "tests", "data", "reproduce_tables.txt"), "rb") as fh:
+    with open(os.path.join(ROOT, "tests", "data", "reproduce_tables.txt"), "rb") as fh:
         assert proc.stdout == fh.read()
 
 
@@ -450,6 +453,7 @@ def test_installed_entry_point() -> None:
         [sys.executable, "-m", "qperiod.cli", "tau", "--manifold", "s3", "--r", "7", "--json"],
         capture_output=True,
         text=True,
+        env=SRC_ENV,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["manifold"] == "s3"
@@ -464,6 +468,7 @@ def test_closed_output_pipe_exits_quietly() -> None:
             [sys.executable, "-m", "qperiod.cli", "ohtsuki", "--manifold", "poincare", "--r", "59"],
             stdout=write_end,
             stderr=subprocess.PIPE,
+            env=SRC_ENV,
             timeout=60,
         )
     finally:

@@ -59,6 +59,16 @@ def braid(text: str) -> BraidWord:
     return parse_braid(text)
 
 
+def braid_words(max_strands: int, max_letters: int):
+    """Braids on 2..max_strands strands with at most max_letters letters."""
+    return st.integers(2, max_strands).flatmap(
+        lambda n: st.lists(
+            st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i])),
+            max_size=max_letters,
+        ).map(lambda word: BraidWord(n, tuple(word)))
+    )
+
+
 # ---------------------------------------------------------------------------
 # braid words
 
@@ -136,21 +146,9 @@ def test_bracket_hopf():
     assert bracket_of_braid(braid("strands 2 : 1 1")) == H({8: -1, -8: -1})
 
 
-@given(
-    st.integers(2, 4).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(
-                st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i])),
-                max_size=6,
-            ),
-        )
-    )
-)
+@given(braid_words(4, 6))
 @settings(max_examples=40, deadline=None)
-def test_bracket_statesum_matches_transfer(nw):
-    n, word = nw
-    b = BraidWord(n, tuple(word))
+def test_bracket_statesum_matches_transfer(b):
     assert kauffman_bracket(closure(b)) == bracket_of_braid(b)
 
 
@@ -259,6 +257,33 @@ def test_closure_round_trips_through_pd_text():
         d = closure(braid(text))
         back = parse_pd(pd_text(d))
         assert back == d  # in particular the derived signs agree
+
+
+@given(braid_words(5, 10), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_parse_pd_orients_relabelled_closures(b, rng):
+    # rename the arcs, reorder the crossings and rotate each component:
+    # parse_pd derives closure's signs, and refuses exactly when a two-arc
+    # component never passes under, where no orientation can be derived
+    d = closure(b)
+    arcs = sorted(d.arcs)
+    names = dict(zip(arcs, rng.sample(range(1, 4 * len(arcs) + 1), len(arcs))))
+    order = rng.sample(range(len(d.crossings)), len(d.crossings))
+    comps = []
+    for comp in rng.sample(d.components, len(d.components)):
+        k = rng.randrange(len(comp))
+        comps.append(tuple(names[a] for a in comp[k:] + comp[:k]))
+    want = PlanarDiagram(
+        tuple(tuple(names[a] for a in d.crossings[k]) for k in order),
+        tuple(d.signs[k] for k in order),
+        tuple(comps),
+    )
+    under = {x[0] for x in d.crossings} | {x[2] for x in d.crossings}
+    if any(len(comp) == 2 and not set(comp) & under for comp in d.components):
+        with pytest.raises(ValueError, match="cannot orient"):
+            parse_pd(pd_text(want))
+    else:
+        assert parse_pd(pd_text(want)) == want
 
 
 @pytest.mark.parametrize(
