@@ -201,11 +201,9 @@ def _discriminant(args) -> Report:
     rep = period_discriminant(mid, args.primes)
 
     def text() -> list[str]:
-        lines = [f"manifold {mid}", *aligned(("r", "v", "delta"), rep.residues)]
-        if rep.dropped:
-            lines.append("dropped " + " ".join(str(r) for r in rep.dropped))
         factors = factor_text(rep.factorization) or "(none)"
-        return lines + [f"lifted {rep.lifted}", f"factors {factors}"]
+        return [f"manifold {mid}", *aligned(("r", "v", "delta"), rep.residues),
+                f"lifted {rep.lifted}", f"factors {factors}"]
 
     return rep.to_json(), text
 

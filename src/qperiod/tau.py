@@ -26,27 +26,29 @@ canonical coordinates once at the end.
 
 The rest reads only the low Ohtsuki digits, which cost O(r) each: a
 coefficient table to depth d is O(d * r), so the `tau` and `obstruct`
-tables and the discriminant's a_0, a_1, a_3 are O(r) per level, and only
-the full `ohtsuki` table is O(r^2).  The twisted conjugate xi^v conj(x)
-is a re-indexing of coordinates, so the obstruction search over all r
-twists is O(r) integer work per twist.
+tables are O(r) per level, and only the full `ohtsuki` table is O(r^2).
+The twisted conjugate xi^v conj(x) is a re-indexing of coordinates, so
+the obstruction search over all r twists is O(r) integer work per twist.
+
+The discriminant reads four integers.  W(n) lies in (1 - q)^n and r in
+(1 - xi)^4, so at every prime level r >= 5 the digits a_0 .. a_3 are the
+Taylor coefficients c_0 .. c_3 at q = 1 of the terms n <= 3, reduced mod
+r.  The twist and the defect are integers too, so a level costs O(1);
+c_0 = 1, so none is dropped.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial, prod
 
-from .cyclo import (
-    CyclotomicInt,
-    cyclo_to_json,
-    divide_power_vector,
-    make,
-    ohtsuki_digits,
-    twist_conjugate,
-)
+from .cyclo import CyclotomicInt, cyclo_to_json, divide_power_vector, make, ohtsuki_digits
 from .liedata import RootSystem, admissible_r, build_root_system
 from .modular import crt_symmetric, encode_int, factorize, fp_divides, fp_gcd, is_prime
+from .qpoly import HalfLaurent
 
 MANIFOLDS = ("poincare", "brieskorn_2_3_7", "s3")
+# the front exponent f(n) of each closed-form invariant sum_n xi^f(n) W(n)
+FRONT_EXPONENTS = {"poincare": lambda n: n, "brieskorn_2_3_7": lambda n: -n * (n + 2)}
 
 CANDIDATE_V_RULE = (
     "v = -2*a1/a0 mod r, the unique twist matching the first-order rule "
@@ -91,13 +93,13 @@ def _tau_sum(r: int, front_exponent) -> CyclotomicInt:
 def tau_poincare(r: int) -> TauValue:
     """Invariant of the Poincare sphere (-1 surgery on the left trefoil)."""
     _require_level(r)
-    return TauValue("poincare", _tau_sum(r, lambda n: n))
+    return TauValue("poincare", _tau_sum(r, FRONT_EXPONENTS["poincare"]))
 
 
 def tau_brieskorn237(r: int) -> TauValue:
     """Invariant of the Brieskorn sphere Sigma(2,3,7)."""
     _require_level(r)
-    return TauValue("brieskorn_2_3_7", _tau_sum(r, lambda n: -n * (n + 2)))
+    return TauValue("brieskorn_2_3_7", _tau_sum(r, FRONT_EXPONENTS["brieskorn_2_3_7"]))
 
 
 def tau_s3(r: int) -> TauValue:
@@ -227,6 +229,35 @@ def quotient_congruence_test(
 # discriminant lifting
 
 
+def _taylor_at_one(p: HalfLaurent) -> tuple[int, ...]:
+    """c_0 .. c_3 with p = sum_n c_n (1 - q)^n mod (1 - q)^4, p Laurent in q:
+    q^k, stored under key 2k, is sum_n (-1)^n binom(k, n) (1 - q)^n, any k."""
+    return tuple(
+        (-1) ** n * sum(c * prod(range(k // 2, k // 2 - n, -1)) for k, c in p.terms) // factorial(n)
+        for n in range(4)
+    )
+
+
+def discriminant_integers(manifold_id: str) -> tuple[tuple[int, ...], int, int]:
+    """(c, v, delta) over Z: c_0 .. c_3 of P(q) = sum_{n<=3} q^f(n) W(n) at
+    q = 1, v = -2 c_1 and delta = c_3(P) - c_3(q^v P(1/q)), which reduce mod
+    any prime r >= 5 to the level-r digits, twist and defect."""
+    if manifold_id == "s3":
+        head = HalfLaurent.one()
+    elif manifold_id in FRONT_EXPONENTS:
+        head = HalfLaurent.zero()
+        for n in range(4):
+            window = HalfLaurent.from_dict({2 * j: 1 for j in range(n + 1)})
+            for k in range(n + 2, 2 * n + 2):
+                window = window * (1 - HalfLaurent.monomial(2 * k))
+            head = head + HalfLaurent.monomial(2 * FRONT_EXPONENTS[manifold_id](n)) * window
+    else:
+        raise ValueError(f"unknown manifold {manifold_id!r}")
+    c = _taylor_at_one(head)
+    v = -2 * c[1]  # c_0 = 1: W(0) = 1 and every later window vanishes at q = 1
+    return c, v, c[3] - _taylor_at_one(HalfLaurent.monomial(2 * v) * head.mirror())[3]
+
+
 @dataclass(frozen=True)
 class DiscriminantReport:
     """Per-prime twisted-conjugate defects, CRT-lifted to an integer.
@@ -238,7 +269,6 @@ class DiscriminantReport:
     manifold_id: str
     candidate_v_rule: str
     residues: tuple[tuple[int, int, int], ...]
-    dropped: tuple[int, ...]
     lifted: int
     factorization: tuple[tuple[int, int], ...]
 
@@ -247,7 +277,7 @@ class DiscriminantReport:
             "manifold": self.manifold_id,
             "rule": self.candidate_v_rule,
             "residues": [[r, v, delta] for r, v, delta in self.residues],
-            "dropped": [int(r) for r in self.dropped],
+            "dropped": [],
             "lifted": encode_int(self.lifted),
             "factors": [[p, e] for p, e in self.factorization],
         }
@@ -260,26 +290,8 @@ def period_discriminant(manifold_id: str, primes) -> DiscriminantReport:
     for r in prime_list:
         if not is_prime(r) or r <= 4:
             raise ValueError(f"level {r} must be a prime > 4")
-    rows = []
-    dropped = []
-    for r in prime_list:
-        x = tau_for(manifold_id, r).value
-        a0, a1, _, a3 = ohtsuki_digits(x, 3)
-        if a0 % r == 0:
-            dropped.append(r)
-            continue
-        v = (-2 * a1 * pow(a0, -1, r)) % r
-        delta = (a3 - ohtsuki_digits(twist_conjugate(x, v), 3)[3]) % r
-        rows.append((r, v, delta))
-    if not rows:
-        raise ValueError("no usable levels: every prime was dropped")
-    lifted = crt_symmetric([(r, delta) for r, _, delta in rows])
+    _, v, delta = discriminant_integers(manifold_id)
+    rows = tuple((r, v % r, delta % r) for r in prime_list)
+    lifted = crt_symmetric([(r, d) for r, _, d in rows])
     factors = factorize(abs(lifted)) if lifted else ()
-    return DiscriminantReport(
-        manifold_id,
-        CANDIDATE_V_RULE,
-        tuple(rows),
-        tuple(dropped),
-        lifted,
-        factors,
-    )
+    return DiscriminantReport(manifold_id, CANDIDATE_V_RULE, rows, lifted, factors)

@@ -9,12 +9,13 @@ by 1 - xi and the twist-divide-twist route to 1 - xi^e that
 `cyclo.divide_power_vector` replaced, `mirror_unknot` the chain of
 divisions by 1 - xi^-(beta|rho) that the conjugate of `liedata.f_unknot`
 replaced, `det_fraction` and `solve_linear` the rational elimination that
-the integer cofactors of `liedata.constants` replaced, and the two
+the integer cofactors of `liedata.constants` replaced,
+`level_discriminant_row` the per-level route through tau in Z[xi] that
+the integers of `tau.discriminant_integers` replaced, and the two
 identity checks are facts about Z[T] and the eta moduli that the
-congruences rest on.  The
-small predicates below them (divisibility, residues, braid permutations,
-free loops, root pairings, the resummed Ohtsuki expansion) state in the
-tests what a result must satisfy.
+congruences rest on.  The small predicates below them (divisibility,
+residues, braid permutations, free loops, root pairings, the resummed
+Ohtsuki expansion) state in the tests what a result must satisfy.
 """
 from __future__ import annotations
 
@@ -28,11 +29,14 @@ from qperiod.cyclo import (
     OhtsukiExpansion,
     divide_by_one_minus_xi_power,
     make,
+    ohtsuki_digits,
+    twist_conjugate,
 )
 from qperiod.liedata import RootSystem, gauss_sum
 from qperiod.linkdiag import BraidWord, PlanarDiagram
 from qperiod.modular import fp_divides, fp_gcd, fp_trim, is_prime
 from qperiod.qpoly import HalfLaurent, eta, quantum_integer, reduce_mod
+from qperiod.tau import tau_for
 
 
 def complex_eval(x: CyclotomicInt, which_root: int = 1) -> complex:
@@ -175,6 +179,16 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
                 factor = m[r][col]
                 m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
     return [m[r][n] for r in range(n)]
+
+
+def level_discriminant_row(manifold_id: str, r: int) -> tuple[int, int, int]:
+    """(r, v, delta) from the invariant at level r: its digits a_0 .. a_3,
+    the twist v = -2 a_1 / a_0 mod r and delta = a_3(x) - a_3(xi^v conj x)
+    mod r, in O(r^2) for the invariant."""
+    x = tau_for(manifold_id, r).value
+    a0, a1, _, a3 = ohtsuki_digits(x, 3)
+    v = (-2 * a1 * pow(a0, -1, r)) % r
+    return r, v, (a3 - ohtsuki_digits(twist_conjugate(x, v), 3)[3]) % r
 
 
 def epsilon_residue(x: CyclotomicInt) -> int:

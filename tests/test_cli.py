@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -245,13 +246,26 @@ def test_discriminant_rejects_empty_list(capsys, primes: str) -> None:
     assert "--primes is an empty list" in err
 
 
+def test_discriminant_at_large_levels_is_immediate(capsys) -> None:
+    # a level reduces four integers mod r, so no element of Z[xi] is built
+    start = time.monotonic()
+    code, out, _ = run_cli(
+        capsys, ["discriminant", "--manifold", "poincare", "--primes", "100003,1000003", "--json"]
+    )
+    assert time.monotonic() - start < 1.0
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["residues"] == [[100003, 99991, 480], [1000003, 999991, 480]]
+    assert obj["lifted"] == 480
+
+
 def test_out_of_memory_is_computation_error(capsys, monkeypatch) -> None:
     # a level whose Z[xi] elements cannot be allocated
-    def exhausted(manifold, primes):
+    def exhausted(manifold, r):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "period_discriminant", exhausted)
-    code, out, err = run_cli(capsys, ["discriminant", "--manifold", "s3", "--primes", "6768176633"])
+    monkeypatch.setattr(cli, "tau_for", exhausted)
+    code, out, err = run_cli(capsys, ["tau", "--manifold", "s3", "--r", "6768176633"])
     assert (code, out, err) == (1, "", "error: out of memory\n")
 
 

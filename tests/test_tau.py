@@ -9,12 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import divisible_by, ideal_member
+from oracles import divisible_by, ideal_member, level_discriminant_row
 from qperiod.cyclo import CyclotomicInt, make, ohtsuki_expansion, twist_conjugate
 from qperiod.liedata import build_root_system
 from qperiod.tau import (
+    MANIFOLDS,
     DiscriminantReport,
     coeff_table,
+    discriminant_integers,
     obstruction_test,
     period_discriminant,
     quotient_congruence_test,
@@ -430,7 +432,7 @@ def test_poincare_discriminant() -> None:
     assert rep.lifted == 480
     assert rep.factorization == ((2, 5), (3, 1), (5, 1))
     assert [(r, d) for r, _, d in rep.residues] == [(7, 4), (11, 7), (13, 12), (17, 4)]
-    assert rep.dropped == ()
+    assert rep.to_json()["dropped"] == []
     assert time.monotonic() - start < 5.0
 
 
@@ -465,6 +467,32 @@ def test_more_levels_never_move_the_lift(manifold: str, extra: set[int]) -> None
     for r in extra:
         assert (period_discriminant(manifold, [r]).lifted - lifted) % r == 0
     assert period_discriminant(manifold, set(levels) | extra).lifted == lifted
+
+
+@pytest.mark.parametrize(
+    "manifold, c, delta",
+    [
+        ("poincare", (1, 6, 45, 464), 480),
+        ("brieskorn_2_3_7", (1, 6, 69, 1064), 1344),
+        ("s3", (1, 0, 0, 0), 0),
+    ],
+)
+def test_discriminant_integers_are_exact(manifold: str, c: tuple, delta: int) -> None:
+    # the defect is an integer, so its prime factors bound the periods at
+    # every prime level r >= 5, not only at the sampled ones
+    assert discriminant_integers(manifold) == (c, -2 * c[1], delta)
+
+
+LEVELS_TO_2000 = [r for r in range(5, 2000) if is_prime(r)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(MANIFOLDS), st.sampled_from(LEVELS_TO_2000))
+@example("poincare", 5)
+@example("brieskorn_2_3_7", 7)
+def test_discriminant_row_matches_level_route(manifold: str, r: int) -> None:
+    # one level read from the integers equals the digits of tau at that level
+    assert period_discriminant(manifold, [r]).residues == (level_discriminant_row(manifold, r),)
 
 
 def test_s3_discriminant_is_zero() -> None:
