@@ -23,8 +23,10 @@ Conventions, fixed once and used everywhere:
   (-A)^(-3w) <D> under t = A^(-4), reported in the t-normalization.
 
 Two bracket evaluators are provided and cross-checked in the tests: a
-direct state sum over a planar diagram (exponential in crossings, guarded
-by a cap) and a Temperley-Lieb transfer evaluation along a braid word
+state sum over a planar diagram (exponential in crossings, guarded by a
+cap), walked depth first over the crossings so that each prefix of
+smoothings is built once in a union-find and undone from a stack, and a
+Temperley-Lieb transfer evaluation along a braid word
 (polynomial in word length for fixed strand count), which keeps the
 periodicity checks fast for words raised to prime powers.  Each
 periodicity check compares two Jones-type values modulo (p, generator)
@@ -325,51 +327,71 @@ def linking_data(d: PlanarDiagram) -> LinkingData:
 
 
 def kauffman_bracket(d: PlanarDiagram) -> HalfLaurent:
-    """Direct 2^c state sum; exact, intended for desk-scale diagrams, and
-    refused before any work above DEFAULT_CROSSING_CAP crossings."""
+    """The 2^c state sum, walked depth first over the crossings; exact,
+    intended for desk-scale diagrams, and refused before any work above
+    DEFAULT_CROSSING_CAP crossings.
+
+    One union-find over the arcs (union by size, no path compression)
+    holds the current prefix of smoothings.  At crossing k the walk joins
+    the A-smoothing's two arc pairs, descends, undoes those unions from a
+    stack, and then does the same for the B-smoothing, so each prefix is
+    built once for all the states that share it.  The loop count travels
+    down as the arc count minus the merges so far, and a state only counts
+    its (A-exponent, loops) pair.
+    """
     c = len(d.crossings)
     if c > DEFAULT_CROSSING_CAP:
         raise CrossingLimitError(f"{c} crossings exceeds the state-sum cap {DEFAULT_CROSSING_CAP}")
     arcs = sorted(set(d.arcs))
-    idx = {a: i for i, a in enumerate(arcs)}
-    n_arcs = len(arcs)
+    pos = {a: i for i, a in enumerate(arcs)}
+    # per crossing, the A- and B-smoothing: A-exponent step, arc pairs joined
+    smoothings = []
+    for x in d.crossings:
+        a, bb, cc, dd = (pos[e] for e in x)
+        smoothings.append(((1, ((a, bb), (cc, dd))), (-1, ((a, dd), (bb, cc)))))
+    parent = list(range(len(arcs)))
+    size = [1] * len(arcs)
+    merged: list[int] = []  # the absorbed roots, in union order
     counts: dict[tuple[int, int], int] = {}
-    for state in range(1 << c):
-        parent = list(range(n_arcs))
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def walk(k: int, a_exp: int, loops: int) -> None:
+        if k == c:
+            counts[a_exp, loops] = counts.get((a_exp, loops), 0) + 1
+            return
+        for step, pairs in smoothings[k]:
+            mark = len(merged)
+            for x, y in pairs:
+                while parent[x] != x:
+                    x = parent[x]
+                while parent[y] != y:
+                    y = parent[y]
+                if x != y:
+                    if size[x] < size[y]:
+                        x, y = y, x
+                    parent[y] = x
+                    size[x] += size[y]
+                    merged.append(y)
+            walk(k + 1, a_exp + step, loops - (len(merged) - mark))
+            while len(merged) > mark:
+                y = merged.pop()
+                size[parent[y]] -= size[y]
+                parent[y] = y
 
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-
-        for k, (a, bb, cc, dd) in enumerate(d.crossings):
-            if state >> k & 1:
-                union(idx[a], idx[dd])
-                union(idx[bb], idx[cc])
-            else:
-                union(idx[a], idx[bb])
-                union(idx[cc], idx[dd])
-        loops = len({find(i) for i in range(n_arcs)})
-        n_b = bin(state).count("1")
-        key = (c - 2 * n_b, loops)
-        counts[key] = counts.get(key, 0) + 1
+    walk(0, 0, len(arcs))
+    powers = _loop_powers(max(loops for _, loops in counts) - 1)
     out = HalfLaurent.zero()
-    delta_pow: dict[int, HalfLaurent] = {0: HalfLaurent.one()}
-
-    def dpow(e: int) -> HalfLaurent:
-        if e not in delta_pow:
-            delta_pow[e] = dpow(e - 1) * LOOP_VALUE
-        return delta_pow[e]
-
-    for (a_exp, loops), mult in sorted(counts.items()):
-        out = out + HalfLaurent.monomial(2 * a_exp, mult) * dpow(loops - 1)
+    for (a_exp, loops), mult in counts.items():
+        out = out + HalfLaurent.monomial(2 * a_exp, mult) * powers[loops - 1]
     return out
+
+
+def _loop_powers(n: int) -> list[HalfLaurent]:
+    """[1, delta, ..., delta^n] for the loop value delta; a state with l
+    loops weighs delta^(l - 1)."""
+    powers = [HalfLaurent.one()]
+    for _ in range(n):
+        powers.append(powers[-1] * LOOP_VALUE)
+    return powers
 
 
 # ---------------------------------------------------------------------------
@@ -417,6 +439,7 @@ def bracket_of_braid(b: BraidWord) -> HalfLaurent:
             nxt[m2] = w_e if prev is None else prev + w_e
         states = {m: cf for m, cf in nxt.items() if not cf.is_zero}
     out = HalfLaurent.zero()
+    powers = _loop_powers(n - 1)  # the closure has at most n loops
     for m, cf in states.items():
         seen = [False] * (2 * n)
         loops = 0
@@ -430,10 +453,7 @@ def bracket_of_braid(b: BraidWord) -> HalfLaurent:
                 x = m[x]  # cross the tangle
                 seen[x] = True
                 x = x + n if x < n else x - n  # close around
-        dl = HalfLaurent.one()
-        for _ in range(loops - 1):
-            dl = dl * LOOP_VALUE
-        out = out + cf * dl
+        out = out + cf * powers[loops - 1]
     return out
 
 

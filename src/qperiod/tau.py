@@ -27,8 +27,9 @@ canonical coordinates once at the end.
 The rest reads only the low Ohtsuki digits, which cost O(r) each: a
 coefficient table to depth d is O(d * r), so the `tau` and `obstruct`
 tables are O(r) per level, and only the full `ohtsuki` table is O(r^2).
-The twisted conjugate xi^v conj(x) is a re-indexing of coordinates, so
-the obstruction search over all r twists is O(r) integer work per twist.
+Each twisted conjugate xi^v conj(x) is a re-indexing of coordinates, and
+the obstruction search over all r twists is one string match of the
+residue vector against its reverse, O(r) in all.
 
 The discriminant reads four integers.  W(n) lies in (1 - q)^n and r in
 (1 - xi)^4, so at every prime level r >= 5 the digits a_0 .. a_3 are the
@@ -129,17 +130,45 @@ def coeff_table(x: CyclotomicInt, depth: int) -> tuple[tuple[int, int], ...]:
 
 
 def _self_twists(x: CyclotomicInt) -> tuple[int, ...]:
-    """Every v in [0, r) with x = xi^v conj(x) mod r, in O(r) per v.
+    """Every v in [0, r) with x = xi^v conj(x) mod r, in increasing order
+    and in O(r) in all.
 
     On the power basis xi^0 .. xi^(r-1), top coordinate 0, the twist t of
     x has t_j = x_((v - j) mod r), and the congruence says
     x_j = t_j - t_(r-1) mod r.  At j = v + 1, where t_j = 0, that gives
     t_(r-1) = x_(v+1) = -t_(r-1), so t_(r-1) = 0 mod r (r is odd) and the
-    congruence is equality of the two residue vectors.
+    congruence is equality of the two residue vectors.  So the v are read
+    off the places where the residue vector occurs in its reverse written
+    twice, at offset r - 1 - v, and one Knuth-Morris-Pratt pass finds them.
     """
     r = x.r
     pv = [c % r for c in x.coeffs] + [0]
-    return tuple(v for v in range(r) if pv[v::-1] + pv[:v:-1] == pv)
+    rev = pv[::-1]
+    return tuple(r - 1 - s for s in reversed(_occurrences(pv, rev + rev[:-1])))
+
+
+def _occurrences(pattern: list[int], text: list[int]) -> list[int]:
+    """The offsets where pattern occurs in text, in increasing order, by
+    Knuth-Morris-Pratt in O(len(pattern) + len(text))."""
+    border = [0] * len(pattern)  # longest proper border of pattern[:i + 1]
+    k = 0
+    for i in range(1, len(pattern)):
+        while k and pattern[i] != pattern[k]:
+            k = border[k - 1]
+        if pattern[i] == pattern[k]:
+            k += 1
+        border[i] = k
+    found = []
+    k = 0
+    for i, ch in enumerate(text):
+        while k and ch != pattern[k]:
+            k = border[k - 1]
+        if ch == pattern[k]:
+            k += 1
+        if k == len(pattern):
+            found.append(i + 1 - k)
+            k = border[k - 1]
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,11 @@ divisions by 1 - xi^-(beta|rho) that the conjugate of `liedata.f_unknot`
 replaced, `det_fraction` and `solve_linear` the rational elimination that
 the integer cofactors of `liedata.constants` replaced,
 `level_discriminant_row` the per-level route through tau in Z[xi] that
-the integers of `tau.discriminant_integers` replaced, and the two
+the integers of `tau.discriminant_integers` replaced,
+`state_sum_bracket` the one-state-at-a-time enumeration that the
+depth-first `linkdiag.kauffman_bracket` replaced,
+`self_twists_by_rotation` the one-comparison-per-twist search that the
+string match in `tau` replaced, and the two
 identity checks are facts about Z[T] and the eta moduli that the
 congruences rest on.  The small predicates below them (divisibility,
 residues, braid permutations, free loops, root pairings, the resummed
@@ -33,7 +37,7 @@ from qperiod.cyclo import (
     twist_conjugate,
 )
 from qperiod.liedata import RootSystem, gauss_sum
-from qperiod.linkdiag import BraidWord, PlanarDiagram
+from qperiod.linkdiag import LOOP_VALUE, BraidWord, PlanarDiagram
 from qperiod.modular import fp_divides, fp_gcd, fp_trim, is_prime
 from qperiod.qpoly import HalfLaurent, eta, quantum_integer, reduce_mod
 from qperiod.tau import tau_for
@@ -189,6 +193,48 @@ def level_discriminant_row(manifold_id: str, r: int) -> tuple[int, int, int]:
     a0, a1, _, a3 = ohtsuki_digits(x, 3)
     v = (-2 * a1 * pow(a0, -1, r)) % r
     return r, v, (a3 - ohtsuki_digits(twist_conjugate(x, v), 3)[3]) % r
+
+
+def state_sum_bracket(d: PlanarDiagram) -> HalfLaurent:
+    """The bracket of d one state at a time: for each of the 2^c states a
+    fresh union-find over the arcs, its loops counted as the distinct roots."""
+    c = len(d.crossings)
+    arcs = sorted(set(d.arcs))
+    idx = {a: i for i, a in enumerate(arcs)}
+    counts: dict[tuple[int, int], int] = {}
+    for state in range(1 << c):
+        parent = list(range(len(arcs)))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def union(x: int, y: int) -> None:
+            parent[find(y)] = find(x)
+
+        for k, (a, bb, cc, dd) in enumerate(d.crossings):
+            if state >> k & 1:
+                union(idx[a], idx[dd])
+                union(idx[bb], idx[cc])
+            else:
+                union(idx[a], idx[bb])
+                union(idx[cc], idx[dd])
+        key = (c - 2 * bin(state).count("1"), len({find(i) for i in range(len(arcs))}))
+        counts[key] = counts.get(key, 0) + 1
+    out = HalfLaurent.zero()
+    for (a_exp, loops), mult in counts.items():
+        out = out + HalfLaurent.monomial(2 * a_exp, mult) * LOOP_VALUE ** (loops - 1)
+    return out
+
+
+def self_twists_by_rotation(x: CyclotomicInt) -> tuple[int, ...]:
+    """Every v in [0, r) with x = xi^v conj(x) mod r, comparing the
+    residue vector with its twist once per v, O(r^2) in all."""
+    r = x.r
+    pv = [c % r for c in x.coeffs] + [0]
+    return tuple(v for v in range(r) if pv[v::-1] + pv[:v:-1] == pv)
 
 
 def epsilon_residue(x: CyclotomicInt) -> int:

@@ -2,11 +2,13 @@
 move invariance, and the periodicity congruence checks."""
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import braid_component_count, braid_permutation, free_loop_count
+from oracles import braid_component_count, braid_permutation, free_loop_count, state_sum_bracket
 from qperiod.linkdiag import (
     DEFAULT_CROSSING_CAP,
     BraidWord,
@@ -259,13 +261,9 @@ def test_closure_round_trips_through_pd_text():
         assert back == d  # in particular the derived signs agree
 
 
-@given(braid_words(5, 10), st.randoms(use_true_random=False))
-@settings(max_examples=200, deadline=None)
-def test_parse_pd_orients_relabelled_closures(b, rng):
-    # rename the arcs, reorder the crossings and rotate each component:
-    # parse_pd derives closure's signs, and refuses exactly when a two-arc
-    # component never passes under, where no orientation can be derived
-    d = closure(b)
+def relabelled(d: PlanarDiagram, rng) -> PlanarDiagram:
+    """d with its arcs renamed, its crossings reordered and each component
+    rotated, the components shuffled."""
     arcs = sorted(d.arcs)
     names = dict(zip(arcs, rng.sample(range(1, 4 * len(arcs) + 1), len(arcs))))
     order = rng.sample(range(len(d.crossings)), len(d.crossings))
@@ -273,17 +271,47 @@ def test_parse_pd_orients_relabelled_closures(b, rng):
     for comp in rng.sample(d.components, len(d.components)):
         k = rng.randrange(len(comp))
         comps.append(tuple(names[a] for a in comp[k:] + comp[:k]))
-    want = PlanarDiagram(
+    return PlanarDiagram(
         tuple(tuple(names[a] for a in d.crossings[k]) for k in order),
         tuple(d.signs[k] for k in order),
         tuple(comps),
     )
+
+
+def orientable(d: PlanarDiagram) -> bool:
+    """Whether every two-arc component of d passes under somewhere, which
+    parse_pd needs to orient it."""
     under = {x[0] for x in d.crossings} | {x[2] for x in d.crossings}
-    if any(len(comp) == 2 and not set(comp) & under for comp in d.components):
+    return not any(len(comp) == 2 and not set(comp) & under for comp in d.components)
+
+
+@given(braid_words(5, 10), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_parse_pd_orients_relabelled_closures(b, rng):
+    # parse_pd derives closure's signs under any relabelling, and refuses
+    # exactly when a two-arc component never passes under, where no
+    # orientation can be derived
+    d = closure(b)
+    want = relabelled(d, rng)
+    if orientable(d):
+        assert parse_pd(pd_text(want)) == want
+    else:
         with pytest.raises(ValueError, match="cannot orient"):
             parse_pd(pd_text(want))
-    else:
-        assert parse_pd(pd_text(want)) == want
+
+
+@given(braid_words(5, 10), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+@example(BraidWord(3, ()), random.Random(0))  # no crossing, three free loops
+@example(BraidWord(5, (1, -1, 1)), random.Random(1))  # three free loops beside a kink
+@example(BraidWord(4, (1, 3, -2, 1, 3, -2, 1, 3, -2, 1)), random.Random(2))  # ten crossings
+def test_depth_first_bracket_matches_state_sum(b, rng):
+    # strands that no letter touches close to free loops, and an empty
+    # word gives a diagram with no crossing at all
+    d = closure(b)
+    assume(orientable(d))
+    parsed = parse_pd(pd_text(relabelled(d, rng)))
+    assert kauffman_bracket(parsed) == state_sum_bracket(parsed)
 
 
 @pytest.mark.parametrize(

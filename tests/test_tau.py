@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import divisible_by, ideal_member, level_discriminant_row
+from oracles import divisible_by, ideal_member, level_discriminant_row, self_twists_by_rotation
 from qperiod.cyclo import CyclotomicInt, make, ohtsuki_expansion, twist_conjugate
 from qperiod.liedata import build_root_system
 from qperiod.tau import (
@@ -29,6 +29,7 @@ from qperiod.tau import (
 from qperiod.modular import crt_symmetric, is_prime
 
 A1 = build_root_system("A", 1)
+LEVELS_TO_2000 = [r for r in range(5, 2000) if is_prime(r)]
 FRONTS = {"poincare": lambda n: n, "brieskorn_2_3_7": lambda n: -n * (n + 2)}
 
 
@@ -279,7 +280,7 @@ def test_obstruction_search_matches_brute_force_on_symmetric_elements(data) -> N
     x = y + reference_twist(y, v) + CyclotomicInt(r, tuple(z_coeffs)) * r
     want = tuple(u for u in range(r) if divisible_by(x - reference_twist(x, u), r))
     assert v in want
-    assert obstruction_test(x, r, A1).admissible_v == want
+    assert obstruction_test(x, r, A1).admissible_v == want == self_twists_by_rotation(x)
 
 
 @pytest.mark.parametrize("manifold", sorted(FRONTS))
@@ -290,6 +291,18 @@ def test_obstruction_matches_brute_force_search(r: int, manifold: str) -> None:
     x = tau_for(manifold, r).value
     want = tuple(v for v in range(r) if divisible_by(x - reference_twist(x, v), r))
     assert obstruction_test(x, r, A1).admissible_v == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(MANIFOLDS), st.sampled_from(LEVELS_TO_2000))
+@example("poincare", 5)
+@example("brieskorn_2_3_7", 7)
+@example("s3", 1999)
+def test_twist_search_matches_rotation_route(manifold: str, r: int) -> None:
+    # the one string match finds the twists, in the same order, that
+    # comparing one rotated vector per v finds
+    x = tau_for(manifold, r).value
+    assert obstruction_test(x, r, A1).admissible_v == self_twists_by_rotation(x)
 
 
 # ---------------------------------------------------------------------------
@@ -481,9 +494,6 @@ def test_discriminant_integers_are_exact(manifold: str, c: tuple, delta: int) ->
     # the defect is an integer, so its prime factors bound the periods at
     # every prime level r >= 5, not only at the sampled ones
     assert discriminant_integers(manifold) == (c, -2 * c[1], delta)
-
-
-LEVELS_TO_2000 = [r for r in range(5, 2000) if is_prime(r)]
 
 
 @settings(max_examples=20, deadline=None)
