@@ -30,7 +30,7 @@ from .cyclo import NotDivisibleError
 from .liedata import build_root_system, constants, gauss_report
 from .linkdiag import (
     BraidWord,
-    CrossingLimitError,
+    WidthLimitError,
     jones,
     jones_of_braid,
     murasugi_check,
@@ -394,8 +394,8 @@ def main(argv: list[str] | None = None) -> int:
         report, text = COMMANDS[args.subcommand].run(args)
         print(json.dumps(report) if args.json else "\n".join(text()))
         sys.stdout.flush()
-    except CrossingLimitError as exc:
-        # a cost refusal, so a usage error; CrossingLimitError is a ValueError
+    except WidthLimitError as exc:
+        # a cost refusal, so a usage error; WidthLimitError is a ValueError
         args.sub.error(str(exc))
     except (ValueError, NotDivisibleError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,15 +22,16 @@ Conventions, fixed once and used everywhere:
   -A^2 - A^(-2) and <unknot> = 1; the Jones polynomial is
   (-A)^(-3w) <D> under t = A^(-4), reported in the t-normalization.
 
-Two bracket evaluators are provided and cross-checked in the tests: a
-state sum over a planar diagram (exponential in crossings, guarded by a
-cap), walked depth first over the crossings so that each prefix of
-smoothings is built once in a union-find and undone from a stack, and a
-Temperley-Lieb transfer evaluation along a braid word
-(polynomial in word length for fixed strand count), which keeps the
-periodicity checks fast for words raised to prime powers.  Each
-periodicity check compares two Jones-type values modulo (p, generator)
-and reports through one routine.
+One bracket engine serves planar diagrams and braid words alike: it
+contracts the crossings one at a time, greedily ordered so that the open
+boundary stays narrow, and carries one coefficient polynomial per planar
+matching of that boundary.  Its cost grows with the number of matchings
+of the widest boundary times the crossing count, not as 2^c; on a braid
+closure the boundary stays near twice the strand count whatever the word
+length, so words raised to prime powers stay cheap.  A diagram whose
+boundary would be wider than a fixed cap is refused before any state is
+built.  Each periodicity check compares two Jones-type values modulo
+(p, generator) and reports through one routine.
 """
 from __future__ import annotations
 
@@ -41,13 +42,18 @@ from dataclasses import dataclass
 from .modular import is_prime
 from .qpoly import HalfLaurent, eta, poly_to_json, quantum_integer, reduce_mod
 
-LOOP_VALUE = HalfLaurent.from_dict({4: -1, -4: -1})  # -A^2 - A^(-2)
+# A boundary of w arcs carries up to Catalan(w/2) matchings, about 4x more
+# per two arcs.  At width 18 the 84-crossing closure of the 9-strand word
+# (1 -2 3 -4 5 -6 7 -8 1 -2 3 -4)^7 took 7 to 9 s and its 9th power (108
+# crossings) 17 to 20 s, in two runs with Python 3.11 on one core of a
+# shared Xeon.  The greedy order keeps a braid closure's boundary near
+# twice its strand count, so the cap admits braids on about 9 strands.
+BOUNDARY_WIDTH_CAP = 18
 
-DEFAULT_CROSSING_CAP = 24
 
-
-class CrossingLimitError(ValueError):
-    """State-sum bracket refused: too many crossings for 2^c enumeration."""
+class WidthLimitError(ValueError):
+    """Bracket refused: the contraction's open boundary would be wider
+    than BOUNDARY_WIDTH_CAP arcs, so it would carry too many matchings."""
 
 
 # ---------------------------------------------------------------------------
@@ -323,138 +329,182 @@ def linking_data(d: PlanarDiagram) -> LinkingData:
 
 
 # ---------------------------------------------------------------------------
-# bracket by state sum
+# bracket by contraction over boundary matchings
 
 
 def kauffman_bracket(d: PlanarDiagram) -> HalfLaurent:
-    """The 2^c state sum, walked depth first over the crossings; exact,
-    intended for desk-scale diagrams, and refused before any work above
-    DEFAULT_CROSSING_CAP crossings.
-
-    One union-find over the arcs (union by size, no path compression)
-    holds the current prefix of smoothings.  At crossing k the walk joins
-    the A-smoothing's two arc pairs, descends, undoes those unions from a
-    stack, and then does the same for the B-smoothing, so each prefix is
-    built once for all the states that share it.  The loop count travels
-    down as the arc count minus the merges so far, and a state only counts
-    its (A-exponent, loops) pair.
-    """
-    c = len(d.crossings)
-    if c > DEFAULT_CROSSING_CAP:
-        raise CrossingLimitError(f"{c} crossings exceeds the state-sum cap {DEFAULT_CROSSING_CAP}")
-    arcs = sorted(set(d.arcs))
-    pos = {a: i for i, a in enumerate(arcs)}
-    # per crossing, the A- and B-smoothing: A-exponent step, arc pairs joined
-    smoothings = []
-    for x in d.crossings:
-        a, bb, cc, dd = (pos[e] for e in x)
-        smoothings.append(((1, ((a, bb), (cc, dd))), (-1, ((a, dd), (bb, cc)))))
-    parent = list(range(len(arcs)))
-    size = [1] * len(arcs)
-    merged: list[int] = []  # the absorbed roots, in union order
-    counts: dict[tuple[int, int], int] = {}
-
-    def walk(k: int, a_exp: int, loops: int) -> None:
-        if k == c:
-            counts[a_exp, loops] = counts.get((a_exp, loops), 0) + 1
-            return
-        for step, pairs in smoothings[k]:
-            mark = len(merged)
-            for x, y in pairs:
-                while parent[x] != x:
-                    x = parent[x]
-                while parent[y] != y:
-                    y = parent[y]
-                if x != y:
-                    if size[x] < size[y]:
-                        x, y = y, x
-                    parent[y] = x
-                    size[x] += size[y]
-                    merged.append(y)
-            walk(k + 1, a_exp + step, loops - (len(merged) - mark))
-            while len(merged) > mark:
-                y = merged.pop()
-                size[parent[y]] -= size[y]
-                parent[y] = y
-
-    walk(0, 0, len(arcs))
-    powers = _loop_powers(max(loops for _, loops in counts) - 1)
-    out = HalfLaurent.zero()
-    for (a_exp, loops), mult in counts.items():
-        out = out + HalfLaurent.monomial(2 * a_exp, mult) * powers[loops - 1]
-    return out
-
-
-def _loop_powers(n: int) -> list[HalfLaurent]:
-    """[1, delta, ..., delta^n] for the loop value delta; a state with l
-    loops weighs delta^(l - 1)."""
-    powers = [HalfLaurent.one()]
-    for _ in range(n):
-        powers.append(powers[-1] * LOOP_VALUE)
-    return powers
-
-
-# ---------------------------------------------------------------------------
-# bracket by Temperley-Lieb transfer along a braid word
-
-
-def _apply_cupcap(match: tuple[int, ...], bi: int, bj: int) -> tuple[tuple[int, ...], int]:
-    """Join the partners of bottom points bi, bj and re-cap them.
-
-    Returns the new matching and the number of closed loops removed (0/1).
-    """
-    p, q = match[bi], match[bj]
-    m = list(match)
-    if p == bj:
-        return tuple(m), 1
-    m[p], m[q] = q, p
-    m[bi], m[bj] = bj, bi
-    return tuple(m), 0
+    """The bracket of a planar diagram, exact; refused before any work
+    when the contraction's boundary is wider than BOUNDARY_WIDTH_CAP."""
+    return _contract(d)
 
 
 def bracket_of_braid(b: BraidWord) -> HalfLaurent:
-    """Bracket of the closure of b via planar-matching transfer.
+    """The bracket of the closure of b."""
+    return _contract(closure(b))
 
-    Positive letters expand as A * (identity) + A^(-1) * (cup-cap),
-    negative letters with the two weights exchanged; the trace closure
-    joins top point i to bottom point i."""
-    n = b.strands
-    ident = tuple(list(range(n, 2 * n)) + list(range(n)))
-    states: dict[tuple[int, ...], HalfLaurent] = {ident: HalfLaurent.one()}
-    for w in b.letters:
-        i = abs(w) - 1
-        bi, bj = n + i, n + i + 1
-        weight_id = HalfLaurent.monomial(2 if w > 0 else -2)
-        weight_e = HalfLaurent.monomial(-2 if w > 0 else 2)
-        nxt: dict[tuple[int, ...], HalfLaurent] = {}
-        for m, cf in states.items():
-            prev = nxt.get(m)
-            add = cf * weight_id
-            nxt[m] = add if prev is None else prev + add
-            m2, nl = _apply_cupcap(m, bi, bj)
-            w_e = cf * weight_e
-            if nl:
-                w_e = w_e * LOOP_VALUE
-            prev = nxt.get(m2)
-            nxt[m2] = w_e if prev is None else prev + w_e
-        states = {m: cf for m, cf in nxt.items() if not cf.is_zero}
-    out = HalfLaurent.zero()
-    powers = _loop_powers(n - 1)  # the closure has at most n loops
-    for m, cf in states.items():
-        seen = [False] * (2 * n)
-        loops = 0
-        for start in range(2 * n):
-            if seen[start]:
+
+# smoothing -> (A-exponent step as a doubled key, the slots it joins as an
+# involution on the slots a, b, c, d)
+_SMOOTHINGS = ((2, (1, 0, 3, 2)), (-2, (3, 2, 1, 0)))
+_DELTA_POWERS = ({0: 1}, {4: -1, -4: -1}, {8: 1, 0: 2, -8: 1})  # delta^0, ^1, ^2
+
+
+def _contraction_order(crossings: Sequence[tuple[int, int, int, int]]) -> tuple[list[int], int]:
+    """The crossings in contraction order, and the largest boundary width
+    along it.
+
+    The next crossing is the one with the most arcs whose other end is
+    already contracted, the lowest index among ties, so each step opens as
+    few boundary arcs as it can.  An arc with both ends at one crossing
+    never opens."""
+    where: dict[int, list[int]] = {}
+    for k, x in enumerate(crossings):
+        for a in x:
+            where.setdefault(a, []).append(k)
+    score = [0] * len(crossings)
+    waiting = [set(range(len(crossings))), set(), set(), set(), set()]  # by score
+    order: list[int] = []
+    width = widest = 0
+    while any(waiting):
+        best = max(s for s in range(5) if waiting[s])
+        k = min(waiting[best])
+        waiting[best].remove(k)
+        order.append(k)
+        for a in set(crossings[k]):
+            j, jj = where[a]
+            if j == jj:
                 continue
+            other = jj if j == k else j
+            if other in waiting[score[other]]:
+                waiting[score[other]].remove(other)
+                score[other] += 1
+                waiting[score[other]].add(other)
+                width += 1
+            else:
+                width -= 1
+        widest = max(widest, width)
+    return order, widest
+
+
+def _add_product(poly: dict[int, int], factor: dict[int, int], into: dict[int, int]) -> None:
+    """into += poly * factor, on dicts keyed by the doubled exponent."""
+    for k, c in poly.items():
+        for dk, dc in factor.items():
+            into[k + dk] = into.get(k + dk, 0) + c * dc
+
+
+def _slot_paths(link: list[int], joins: tuple[int, ...]) -> tuple[list[tuple[int, int]], int]:
+    """The strands through one smoothed crossing: link[s] is the slot that
+    slot s reaches outside the crossing, or -1 when it reaches an open
+    boundary arc; joins pairs the slots inside it.  Returns the pairs of
+    slots that leave on boundary arcs and the number of closed loops."""
+    seen = [False] * 4
+    paths = []
+    for s in range(4):
+        if link[s] < 0 and not seen[s]:
+            seen[s] = True
+            t = joins[s]
+            while link[t] >= 0:
+                seen[t] = True
+                t = link[t]
+                seen[t] = True
+                t = joins[t]
+            seen[t] = True
+            paths.append((s, t))
+    loops = 0
+    for s in range(4):
+        if not seen[s]:
             loops += 1
-            x = start
-            while not seen[x]:
-                seen[x] = True
-                x = m[x]  # cross the tangle
-                seen[x] = True
-                x = x + n if x < n else x - n  # close around
-        out = out + cf * powers[loops - 1]
-    return out
+            while not seen[s]:
+                seen[s] = seen[joins[s]] = True
+                s = link[joins[s]]
+    return paths, loops
+
+
+def _contract(d: PlanarDiagram) -> HalfLaurent:
+    """Contract the crossings one at a time in _contraction_order.
+
+    After each step the open boundary is the list of arcs with one end
+    contracted.  A state is the planar matching the contracted part makes
+    on them, as a tuple of partner positions, and carries its coefficients
+    keyed by the doubled A-exponent.  Contracting a crossing smooths it
+    both ways, follows each strand through it to its new partner, and
+    multiplies by delta = -A^2 - A^(-2) for each loop that closes.  The
+    last crossing closes at least one loop in every state, so there the
+    factor is delta^(loops - 1) and the result needs no division by delta.
+    An arc at no crossing is a free loop and adds one more factor delta.
+    """
+    order, widest = _contraction_order(d.crossings)
+    if widest > BOUNDARY_WIDTH_CAP:
+        raise WidthLimitError(
+            f"contraction boundary width {widest} exceeds the cap {BOUNDARY_WIDTH_CAP}"
+        )
+    at_crossings = {a for x in d.crossings for a in x}
+    free = sum(a not in at_crossings for a in d.arcs)
+    if not order:
+        free -= 1  # the one loop the unknot's bracket does not count
+    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    boundary: list[int] = []
+    for step, k in enumerate(order):
+        x = d.crossings[k]
+        pos = {a: i for i, a in enumerate(boundary)}
+        at_slot = [-1] * len(boundary)  # boundary position -> its slot here
+        old = []  # (slot, boundary position) of the arcs this crossing closes
+        fixed = [-1] * 4  # slot -> the other slot of an arc with both ends here
+        opened = []
+        for s, a in enumerate(x):
+            if a in pos:
+                at_slot[pos[a]] = s
+                old.append((s, pos[a]))
+            elif x.count(a) == 2:
+                fixed[s] = next(t for t in range(4) if t != s and x[t] == a)
+            else:
+                opened.append(s)
+        kept = [i for i, s in enumerate(at_slot) if s < 0]
+        renum = [-1] * len(boundary)
+        for j, i in enumerate(kept):
+            renum[i] = j
+        opened_at = [-1] * 4  # slot -> boundary position of the arc it opens
+        for j, s in enumerate(opened):
+            opened_at[s] = len(kept) + j
+        boundary = [boundary[i] for i in kept] + [x[s] for s in opened]
+        last = step == len(order) - 1
+        # where the strands through the crossing go depends only on which
+        # of its slots the state joins outside it, so each pattern is
+        # smoothed once
+        smoothed: dict[tuple[int, ...], list] = {}
+        nxt: dict[tuple[int, ...], dict[int, int]] = {}
+        for m, poly in states.items():
+            key = tuple(at_slot[m[i]] for _, i in old)
+            if key not in smoothed:
+                link = fixed[:]
+                for (s, _), t in zip(old, key):
+                    link[s] = t
+                smoothed[key] = []
+                for e, joins in _SMOOTHINGS:
+                    pairs, loops = _slot_paths(link, joins)
+                    factor = {dk + e: dc for dk, dc in _DELTA_POWERS[loops - last].items()}
+                    smoothed[key].append((pairs, factor))
+            ends = opened_at[:]
+            for (s, i), t in zip(old, key):
+                if t < 0:
+                    ends[s] = renum[m[i]]
+            base = [renum[m[i]] for i in kept] + [0] * len(opened)
+            for pairs, factor in smoothed[key]:
+                nm = base[:]
+                for s, t in pairs:
+                    nm[ends[s]], nm[ends[t]] = ends[t], ends[s]
+                nm = tuple(nm)
+                if nm not in nxt:
+                    nxt[nm] = {}
+                _add_product(poly, factor, nxt[nm])
+        states = nxt
+    (poly,) = states.values()
+    for _ in range(free):
+        out: dict[int, int] = {}
+        _add_product(poly, _DELTA_POWERS[1], out)
+        poly = out
+    return HalfLaurent.from_dict(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +530,7 @@ def jones(d: PlanarDiagram) -> HalfLaurent:
 
 
 def jones_of_braid(b: BraidWord) -> HalfLaurent:
-    """Jones polynomial of the closure of b, via the transfer bracket."""
+    """Jones polynomial of the closure of b."""
     return _bracket_to_jones(bracket_of_braid(b), b.writhe)
 
 
@@ -552,10 +602,11 @@ def yokota_check(d: PlanarDiagram, p: int) -> CongruenceReport:
 
 
 def yokota_check_braid(b: BraidWord, p: int) -> CongruenceReport:
-    """yokota_check for a braid closure, with the Jones value computed by
-    the transfer bracket so long powers stay cheap."""
+    """yokota_check for a braid closure; the one closure feeds both the
+    bracket and the linking data."""
     _require_odd_prime(p)
-    return _yokota(jones_of_braid(b), closure(b), p)
+    d = closure(b)
+    return _yokota(_bracket_to_jones(_contract(d), b.writhe), d, p)
 
 
 def _yokota(v: HalfLaurent, d: PlanarDiagram, p: int) -> CongruenceReport:

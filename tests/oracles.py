@@ -12,8 +12,10 @@ replaced, `det_fraction` and `solve_linear` the rational elimination that
 the integer cofactors of `liedata.constants` replaced,
 `level_discriminant_row` the per-level route through tau in Z[xi] that
 the integers of `tau.discriminant_integers` replaced,
-`state_sum_bracket` the one-state-at-a-time enumeration that the
-depth-first `linkdiag.kauffman_bracket` replaced,
+`state_sum_bracket` the one-state-at-a-time enumeration and
+`transfer_bracket` the Temperley-Lieb transfer along a braid word that
+the contraction behind `linkdiag.kauffman_bracket` and
+`linkdiag.bracket_of_braid` replaced,
 `self_twists_by_rotation` the one-comparison-per-twist search that the
 string match in `tau` replaced, and the two
 identity checks are facts about Z[T] and the eta moduli that the
@@ -37,10 +39,12 @@ from qperiod.cyclo import (
     twist_conjugate,
 )
 from qperiod.liedata import RootSystem, gauss_sum
-from qperiod.linkdiag import LOOP_VALUE, BraidWord, PlanarDiagram
+from qperiod.linkdiag import BraidWord, PlanarDiagram
 from qperiod.modular import fp_divides, fp_gcd, fp_trim, is_prime
 from qperiod.qpoly import HalfLaurent, eta, quantum_integer, reduce_mod
 from qperiod.tau import tau_for
+
+LOOP_VALUE = HalfLaurent.from_dict({4: -1, -4: -1})  # -A^2 - A^(-2)
 
 
 def complex_eval(x: CyclotomicInt, which_root: int = 1) -> complex:
@@ -226,6 +230,64 @@ def state_sum_bracket(d: PlanarDiagram) -> HalfLaurent:
     out = HalfLaurent.zero()
     for (a_exp, loops), mult in counts.items():
         out = out + HalfLaurent.monomial(2 * a_exp, mult) * LOOP_VALUE ** (loops - 1)
+    return out
+
+
+def apply_cupcap(match: tuple[int, ...], bi: int, bj: int) -> tuple[tuple[int, ...], int]:
+    """Join the partners of bottom points bi, bj and re-cap them.
+
+    Returns the new matching and the number of closed loops removed (0/1).
+    """
+    p, q = match[bi], match[bj]
+    m = list(match)
+    if p == bj:
+        return tuple(m), 1
+    m[p], m[q] = q, p
+    m[bi], m[bj] = bj, bi
+    return tuple(m), 0
+
+
+def transfer_bracket(b: BraidWord) -> HalfLaurent:
+    """Bracket of the closure of b via planar-matching transfer.
+
+    Positive letters expand as A * (identity) + A^(-1) * (cup-cap),
+    negative letters with the two weights exchanged; the trace closure
+    joins top point i to bottom point i."""
+    n = b.strands
+    ident = tuple(list(range(n, 2 * n)) + list(range(n)))
+    states: dict[tuple[int, ...], HalfLaurent] = {ident: HalfLaurent.one()}
+    for w in b.letters:
+        i = abs(w) - 1
+        bi, bj = n + i, n + i + 1
+        weight_id = HalfLaurent.monomial(2 if w > 0 else -2)
+        weight_e = HalfLaurent.monomial(-2 if w > 0 else 2)
+        nxt: dict[tuple[int, ...], HalfLaurent] = {}
+        for m, cf in states.items():
+            prev = nxt.get(m)
+            add = cf * weight_id
+            nxt[m] = add if prev is None else prev + add
+            m2, nl = apply_cupcap(m, bi, bj)
+            w_e = cf * weight_e
+            if nl:
+                w_e = w_e * LOOP_VALUE
+            prev = nxt.get(m2)
+            nxt[m2] = w_e if prev is None else prev + w_e
+        states = {m: cf for m, cf in nxt.items() if not cf.is_zero}
+    out = HalfLaurent.zero()
+    for m, cf in states.items():
+        seen = [False] * (2 * n)
+        loops = 0
+        for start in range(2 * n):
+            if seen[start]:
+                continue
+            loops += 1
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = m[x]  # cross the tangle
+                seen[x] = True
+                x = x + n if x < n else x - n  # close around
+        out = out + cf * LOOP_VALUE ** (loops - 1)
     return out
 
 

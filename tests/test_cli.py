@@ -3,6 +3,7 @@ validation for every subcommand."""
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -20,7 +21,7 @@ from qperiod.cli import GAUSS_MAX_COSETS, main
 from qperiod.cyclo import cyclo_to_json
 from qperiod.liedata import build_root_system, gauss_report
 from qperiod.linkdiag import (
-    DEFAULT_CROSSING_CAP,
+    BOUNDARY_WIDTH_CAP,
     BraidWord,
     closure,
     jones,
@@ -315,14 +316,45 @@ def test_jones_missing_pd_file_is_usage_error(capsys, tmp_path) -> None:
     assert "cannot read" in err
 
 
-def test_jones_pd_over_the_crossing_cap_is_refused(capsys, tmp_path) -> None:
-    # 2^25 states would take hours, so this returns only if the refusal
-    # comes before any work
-    path = tmp_path / "long.pd"
-    path.write_text(pd_text(closure(BraidWord(2, (1,) * (DEFAULT_CROSSING_CAP + 1)))), encoding="utf-8")
+def test_jones_pd_over_the_width_cap_is_refused(capsys, tmp_path) -> None:
+    # contracting this diagram would take hours, so this returns only if
+    # the refusal comes before any work
+    wide = parse_braid("strands 12 : " + " ".join(["1 -2 3 -4 5 -6 7 -8 9 -10 11"] * 14))
+    path = tmp_path / "wide.pd"
+    path.write_text(pd_text(closure(wide)), encoding="utf-8")
     code, out, err = run_cli(capsys, ["jones", "--pd", str(path)])
     assert code == 2 and out == ""
-    assert err.endswith("qperiod jones: error: 25 crossings exceeds the state-sum cap 24\n")
+    assert err.endswith(
+        f"qperiod jones: error: contraction boundary width 24 exceeds the cap {BOUNDARY_WIDTH_CAP}\n"
+    )
+
+
+def stdout_digest(capsys, argv: list[str]) -> str:
+    """The SHA-256 of a call's stdout; the call must succeed within 5 s."""
+    start = time.monotonic()
+    code, out, _ = run_cli(capsys, argv)
+    assert time.monotonic() - start < 5.0
+    assert code == 0
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_murasugi_on_a_nine_strand_power_is_fast(capsys) -> None:
+    # the digest is of the report the Temperley-Lieb transfer gave, in
+    # about 15 s
+    argv = ["murasugi", "--braid", "strands 9 : 1 -2 3 -4 5 -6 7 -8 1 -2 3 -4", "--p", "5", "--json"]
+    assert stdout_digest(capsys, argv) == (
+        "d29795662f05618d9146331aa7a4829d3f4cf2e296868b597a97ad7f4e2379a2"
+    )
+
+
+def test_jones_pd_with_sixty_crossings_is_fast(capsys, tmp_path) -> None:
+    # the digest is of `jones --braid` on the same word by the
+    # Temperley-Lieb transfer; 2^60 states were out of reach
+    path = tmp_path / "sixty.pd"
+    path.write_text(pd_text(closure(BraidWord(4, (1, -2, 3, 2, -1, -3) * 10))), encoding="utf-8")
+    assert stdout_digest(capsys, ["jones", "--pd", str(path), "--json"]) == (
+        "f1701c7fcf9bfad21c7c06fa64551086ffecb1d49d291ee54b0be65591aa3b37"
+    )
 
 
 def test_jones_malformed_pd_content_is_computation_error(capsys, tmp_path) -> None:

@@ -22,14 +22,15 @@ from pathlib import Path
 import pytest
 
 from qperiod.cli import main
-from qperiod.linkdiag import DEFAULT_CROSSING_CAP, BraidWord, closure, pd_text
+from qperiod.linkdiag import BraidWord, closure, pd_text
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.txt"
 
 PD_FILES = {
     "trefoil.pd": "X(1,4,2,5)\nX(3,6,4,1)\nX(5,2,6,3)\ncomponent 1 2 3 4 5 6\n",
     "figure8.pd": pd_text(closure(BraidWord(3, (1, -2, 1, -2)))),
-    "long.pd": pd_text(closure(BraidWord(2, (1,) * (DEFAULT_CROSSING_CAP + 1)))),
+    "long.pd": pd_text(closure(BraidWord(2, (1,) * 25))),
+    "wide.pd": pd_text(closure(BraidWord(12, (1, -2, 3, -4, 5, -6, 7, -8, 9, -10, 11) * 14))),
     "bad.pd": "X(1,2,2,1)\n",
 }
 
@@ -100,6 +101,7 @@ CASES = [
     "jones --braid 'strands 2 : 1' --pd {pd}/trefoil.pd",
     "jones --pd {pd}/absent.pd",
     "jones --pd {pd}/long.pd",
+    "jones --pd {pd}/wide.pd",
     "jones --pd {pd}/bad.pd",
     # murasugi
     "murasugi --braid 'strands 2 : 1' --p 3",
@@ -111,6 +113,7 @@ CASES = [
     "murasugi --braid 'strands 2 : 1' --p -3",
     "murasugi --braid 'strands x' --p 3",
     "murasugi --p 3",
+    "murasugi --braid 'strands 12 : 1 -2 3 -4 5 -6 7 -8 9 -10 11 1 -2 3 -4 5 -6 7 -8 9 -10 11' --p 7",
     # yokota
     "yokota --braid 'strands 2 : 1 1 1' --p 3",
     "yokota --braid 'strands 2 : 1 1 1' --p 5",

@@ -8,12 +8,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import braid_component_count, braid_permutation, free_loop_count, state_sum_bracket
+from oracles import (
+    braid_component_count,
+    braid_permutation,
+    free_loop_count,
+    state_sum_bracket,
+    transfer_bracket,
+)
+from qperiod import linkdiag
 from qperiod.linkdiag import (
-    DEFAULT_CROSSING_CAP,
+    BOUNDARY_WIDTH_CAP,
     BraidWord,
-    CrossingLimitError,
     PlanarDiagram,
+    WidthLimitError,
     bracket_of_braid,
     braid_power,
     closure,
@@ -151,15 +158,48 @@ def test_bracket_hopf():
 @given(braid_words(4, 6))
 @settings(max_examples=40, deadline=None)
 def test_bracket_statesum_matches_transfer(b):
-    assert kauffman_bracket(closure(b)) == bracket_of_braid(b)
+    assert kauffman_bracket(closure(b)) == state_sum_bracket(closure(b)) == transfer_bracket(b)
 
 
-def test_crossing_cap():
-    # 2^25 states would take hours, so this returns only if the refusal
-    # comes before any work
-    d = closure(BraidWord(2, (1,) * (DEFAULT_CROSSING_CAP + 1)))
-    with pytest.raises(CrossingLimitError, match="25 crossings exceeds the state-sum cap 24"):
-        kauffman_bracket(d)
+@given(braid_words(6, 6), st.sampled_from([1, 2, 3, 5]))
+@settings(max_examples=40, deadline=None)
+@example(parse_braid("strands 6 : 1 -2 3 -4 5 1"), 5)
+def test_bracket_of_braid_powers_matches_transfer(b, p):
+    bp = braid_power(b, p)
+    assert bracket_of_braid(bp) == transfer_bracket(bp)
+
+
+WIDE = parse_braid("strands 12 : " + " ".join(["1 -2 3 -4 5 -6 7 -8 9 -10 11"] * 14))
+
+
+def test_width_cap():
+    # contracting WIDE would take hours, so this returns only if the
+    # refusal comes before any state is built
+    message = f"boundary width 24 exceeds the cap {BOUNDARY_WIDTH_CAP}"
+    with pytest.raises(WidthLimitError, match=message):
+        kauffman_bracket(closure(WIDE))
+    with pytest.raises(WidthLimitError, match=message):
+        bracket_of_braid(WIDE)
+    with pytest.raises(WidthLimitError, match=message):
+        yokota_check_braid(WIDE, 3)
+    with pytest.raises(WidthLimitError, match=message):
+        murasugi_check(BraidWord(12, WIDE.letters[:22]), 7)
+    # many crossings on a narrow boundary are cheap
+    long = BraidWord(2, (1,) * 25)
+    assert kauffman_bracket(closure(long)) == transfer_bracket(long)
+
+
+def test_braid_entry_points_bypass_the_pd_entry_point(monkeypatch):
+    # a caller that wraps kauffman_bracket by name, as perfbench's tracer
+    # does with a 2^c work measure, sees only diagram calls
+    def refuse(d):
+        raise AssertionError("braid path went through kauffman_bracket")
+
+    monkeypatch.setattr(linkdiag, "kauffman_bracket", refuse)
+    b = braid("strands 3 : 1 -2 1 -2")
+    assert murasugi_check(b, 3).passed
+    assert yokota_check_braid(b, 3).passed
+    assert jones_of_braid(b) == H({-4: 1, -2: -1, 0: 1, 2: -1, 4: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -300,15 +340,35 @@ def test_parse_pd_orients_relabelled_closures(b, rng):
             parse_pd(pd_text(want))
 
 
-@given(braid_words(5, 10), st.randoms(use_true_random=False))
+def side_by_side(d: PlanarDiagram, e: PlanarDiagram) -> PlanarDiagram:
+    """The split diagram of d and e, e's arcs renamed past d's."""
+    shift = max(d.arcs)
+    return PlanarDiagram(
+        d.crossings + tuple(tuple(a + shift for a in x) for x in e.crossings),
+        d.signs + e.signs,
+        d.components + tuple(tuple(a + shift for a in comp) for comp in e.components),
+    )
+
+
+# one braid with at most ten letters, or two with at most ten between them
+braid_pairs = braid_words(5, 10).flatmap(
+    lambda b: st.tuples(st.just(b), st.none() | braid_words(4, 10 - len(b.letters)))
+)
+
+
+@given(braid_pairs, st.randoms(use_true_random=False))
 @settings(max_examples=200, deadline=None)
-@example(BraidWord(3, ()), random.Random(0))  # no crossing, three free loops
-@example(BraidWord(5, (1, -1, 1)), random.Random(1))  # three free loops beside a kink
-@example(BraidWord(4, (1, 3, -2, 1, 3, -2, 1, 3, -2, 1)), random.Random(2))  # ten crossings
-def test_depth_first_bracket_matches_state_sum(b, rng):
-    # strands that no letter touches close to free loops, and an empty
-    # word gives a diagram with no crossing at all
-    d = closure(b)
+@example((BraidWord(3, ()), None), random.Random(0))  # no crossing, three free loops
+@example((BraidWord(5, (1, -1, 1)), None), random.Random(1))  # three free loops beside a kink
+@example((BraidWord(4, (1, 3, -2, 1, 3, -2, 1, 3, -2, 1)), None), random.Random(2))  # ten crossings
+@example((BraidWord(3, (1, -2, 1, -2)), BraidWord(2, (1, 1, 1))), random.Random(3))  # split
+@example((BraidWord(2, (1,)), BraidWord(2, (-1,))), random.Random(4))  # two kinks
+def test_bracket_matches_state_sum_on_relabelled_diagrams(pair, rng):
+    # strands that no letter touches close to free loops, an empty word
+    # gives a diagram with no crossing at all, and a pair of braids gives
+    # a split diagram, which the contraction finishes one part at a time
+    b, other = pair
+    d = closure(b) if other is None else side_by_side(closure(b), closure(other))
     assume(orientable(d))
     parsed = parse_pd(pd_text(relabelled(d, rng)))
     assert kauffman_bracket(parsed) == state_sum_bracket(parsed)
