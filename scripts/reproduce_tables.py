@@ -8,10 +8,18 @@ from __future__ import annotations
 
 from qperiod.cli import aligned, factor_text
 from qperiod.cyclo import ohtsuki_digits, twist_conjugate
-from qperiod.tau import obstruction_test, period_discriminant, tau_brieskorn237, tau_poincare
+from qperiod.tau import (
+    discriminant_integers,
+    obstruction_test,
+    period_discriminant,
+    tau_brieskorn237,
+    tau_poincare,
+)
 
-POINCARE_LEVELS = (5, 7, 11, 13, 17, 19)
-BRIESKORN_LEVELS = (5, 7, 11, 13, 17)
+MANIFOLDS = (
+    ("poincare", tau_poincare, (5, 7, 11, 13, 17, 19)),
+    ("brieskorn_2_3_7", tau_brieskorn237, (5, 7, 11, 13, 17)),
+)
 
 
 def print_table(title: str, header: tuple[str, ...], rows) -> None:
@@ -21,31 +29,26 @@ def print_table(title: str, header: tuple[str, ...], rows) -> None:
     print()
 
 
-def coefficient_rows(tau_fn, levels):
+def coefficient_rows(tau_fn, levels, v):
     for r in levels:
         x = tau_fn(r).value
         d = ohtsuki_digits(x, 3)
-        dbar = ohtsuki_digits(twist_conjugate(x, -12), 3)
+        dbar = ohtsuki_digits(twist_conjugate(x, v), 3)
         yield (r, d[0], d[1], d[2], d[3], dbar[3])
 
 
 def main() -> None:
-    print_table(
-        "poincare: a_n and the -12-twisted conjugate a_3",
-        ("r", "a0", "a1", "a2", "a3", "a3~"),
-        coefficient_rows(tau_poincare, POINCARE_LEVELS),
-    )
-    print_table(
-        "brieskorn_2_3_7: a_n and the -12-twisted conjugate a_3",
-        ("r", "a0", "a1", "a2", "a3", "a3~"),
-        coefficient_rows(tau_brieskorn237, BRIESKORN_LEVELS),
-    )
+    for name, tau_fn, levels in MANIFOLDS:
+        # the twist v = -2 c_1 that the discriminant reads, -12 for both
+        _, v, _ = discriminant_integers(name)
+        print_table(
+            f"{name}: a_n and the {v}-twisted conjugate a_3",
+            ("r", "a0", "a1", "a2", "a3", "a3~"),
+            coefficient_rows(tau_fn, levels, v),
+        )
 
     verdict_rows = []
-    for name, tau_fn, levels in (
-        ("poincare", tau_poincare, POINCARE_LEVELS),
-        ("brieskorn_2_3_7", tau_brieskorn237, BRIESKORN_LEVELS),
-    ):
+    for name, tau_fn, levels in MANIFOLDS:
         for r in levels:
             rep = obstruction_test(tau_fn(r).value, r)
             vs = " ".join(str(v) for v in rep.admissible_v) or "-"

@@ -106,7 +106,8 @@ class PlanarDiagram:
     crossings[k] is the X(a, b, c, d) tuple of crossing k and signs[k] its
     sign under the stored orientations.  components lists each link
     component as the cyclic sequence of its arcs in flow order; circles
-    with no crossing appear as singleton components.
+    with no crossing appear as singleton components, and a component of
+    several arcs is refused unless it meets a crossing.
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
@@ -129,6 +130,9 @@ class PlanarDiagram:
         for comp in self.components:
             if len(comp) == 1 and comp[0] in uses:
                 raise ValueError(f"arc {comp[0]} cannot both cross and close a free loop")
+            if len(comp) > 1 and uses.keys().isdisjoint(comp):
+                arcs = " ".join(map(str, comp))
+                raise ValueError(f"component {arcs} meets no crossing; a free loop is one arc")
 
     @property
     def arcs(self) -> tuple[int, ...]:

@@ -1,13 +1,10 @@
 """Shared number-theoretic helpers.
 
-Primality, dense polynomial arithmetic over a prime field, Chinese
-remaindering with symmetric representatives, and trial-division
-factorization.  Everything here works on plain Python integers, so all
-results are exact at any size.
+Primality, the remainder of dense polynomials over a prime field, and
+trial-division factorization.  Everything here works on plain Python
+integers, so all results are exact at any size.
 """
 from __future__ import annotations
-
-import math
 
 # the first 13 primes as Miller-Rabin bases decide primality exactly below
 # psi_13 (Sorenson and Webster, Math. Comp. 86, 2017); the first 12 only
@@ -52,13 +49,6 @@ def is_prime(n: int) -> bool:
 # dense polynomials over GF(p): list of coefficients, index = degree,
 # coefficients reduced into [0, p), no trailing zeros, zero poly = []
 
-def fp_trim(coeffs: list[int], p: int) -> list[int]:
-    out = [c % p for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
 def fp_rem(num: list[int], den: list[int], p: int) -> list[int]:
     """Euclidean remainder of num mod den over GF(p).  den must be nonzero."""
     if not den:
@@ -76,52 +66,6 @@ def fp_rem(num: list[int], den: list[int], p: int) -> list[int]:
     while rem and rem[-1] == 0:
         rem.pop()
     return rem
-
-
-def fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd over GF(p); gcd(0, 0) = 0."""
-    a, b = fp_trim(a, p), fp_trim(b, p)
-    while b:
-        a, b = b, fp_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def fp_divides(den: list[int], num: list[int], p: int) -> bool:
-    den, num = fp_trim(den, p), fp_trim(num, p)
-    if not num:
-        return True
-    if not den:
-        return False
-    return not fp_rem(num, den, p)
-
-
-# ---------------------------------------------------------------------------
-
-def crt_symmetric(pairs: list[tuple[int, int]]) -> int:
-    """Combine residue pairs (modulus, residue) into the representative in
-    (-M/2, M/2] where M is the product of the moduli.
-
-    Moduli must be pairwise coprime.
-    """
-    if not pairs:
-        raise ValueError("need at least one residue pair")
-    m_total, x = 1, 0
-    for m, res in pairs:
-        if m < 2:
-            raise ValueError(f"modulus {m} is not usable")
-        if math.gcd(m, m_total) != 1:
-            raise ValueError(f"moduli are not pairwise coprime at {m}")
-        # lift x from m_total to m_total * m
-        inc = (res - x) * pow(m_total, -1, m) % m
-        x += inc * m_total
-        m_total *= m
-    x %= m_total
-    if 2 * x > m_total:
-        x -= m_total
-    return x
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:

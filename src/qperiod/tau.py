@@ -1,7 +1,7 @@
 """Closed-form quantum invariants of the two Brieskorn homology spheres
 at prime roots of unity, Ohtsuki coefficient tables, the conjugation
 obstruction to r-periodicity, the quotient congruence for prime-fold
-branched covers, and CRT lifting of the resulting discriminants.
+branched covers, and the lift of the resulting discriminants.
 
 Both invariants are sums  sum_n xi^f(n) W(n)  with the window
 
@@ -27,24 +27,34 @@ canonical coordinates once at the end.
 The rest reads only the low Ohtsuki digits, which cost O(r) each: a
 coefficient table to depth d is O(d * r), so the `tau` and `obstruct`
 tables are O(r) per level, and only the full `ohtsuki` table is O(r^2).
-Each twisted conjugate xi^v conj(x) is a re-indexing of coordinates, and
-the obstruction search over all r twists is one string match of the
-residue vector against its reverse, O(r) in all.
+The obstruction searches no twists: conjugation fixes the first nonzero
+digit a_k up to the sign (-1)^k, and the next digit then admits at most
+v = k - 2 a_(k+1) / a_k (Ohtsuki), which one O(r) comparison of residue
+vectors decides.  The quotient congruence takes no polynomial gcd: its
+ideal is all of Z[xi] unless p = +-1 mod r, and (p) when it is.
 
 The discriminant reads four integers.  W(n) lies in (1 - q)^n and r in
 (1 - xi)^4, so at every prime level r >= 5 the digits a_0 .. a_3 are the
 Taylor coefficients c_0 .. c_3 at q = 1 of the terms n <= 3, reduced mod
 r.  The twist and the defect are integers too, so a level costs O(1);
-c_0 = 1, so none is dropped.
+c_0 = 1, so none is dropped.  Every residue reduces the one integer
+defect, so the lift needs no Chinese remaindering.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial, prod
 
-from .cyclo import CyclotomicInt, cyclo_to_json, divide_power_vector, make, ohtsuki_digits
+from .cyclo import (
+    CyclotomicInt,
+    cyclo_to_json,
+    divide_by_one_minus_xi_power,
+    divide_power_vector,
+    make,
+    ohtsuki_digits,
+)
 from .liedata import RootSystem, admissible_r, build_root_system
-from .modular import crt_symmetric, encode_int, factorize, fp_divides, fp_gcd, is_prime
+from .modular import encode_int, factorize, is_prime
 from .qpoly import HalfLaurent
 
 MANIFOLDS = ("poincare", "brieskorn_2_3_7", "s3")
@@ -129,46 +139,41 @@ def coeff_table(x: CyclotomicInt, depth: int) -> tuple[tuple[int, int], ...]:
     return tuple(enumerate(ohtsuki_digits(x, depth)))
 
 
-def _self_twists(x: CyclotomicInt) -> tuple[int, ...]:
-    """Every v in [0, r) with x = xi^v conj(x) mod r, in increasing order
-    and in O(r) in all.
+def _self_twists(x: CyclotomicInt, head: tuple[int, ...]) -> tuple[int, ...]:
+    """Every v in [0, r) with x = xi^v conj(x) mod r, in increasing order,
+    given the leading Ohtsuki digits head = (a_0, a_1, ...) of x.
 
-    On the power basis xi^0 .. xi^(r-1), top coordinate 0, the twist t of
-    x has t_j = x_((v - j) mod r), and the congruence says
-    x_j = t_j - t_(r-1) mod r.  At j = v + 1, where t_j = 0, that gives
-    t_(r-1) = x_(v+1) = -t_(r-1), so t_(r-1) = 0 mod r (r is odd) and the
-    congruence is equality of the two residue vectors.  So the v are read
-    off the places where the residue vector occurs in its reverse written
-    twice, at offset r - 1 - v, and one Knuth-Morris-Pratt pass finds them.
+    Modulo r, Z[xi] is F_r[h] / (h^(r-1)) with h = 1 - xi, the digits are
+    the coefficients in h, and conjugation sends h to -h / (1 - h).  If a_k
+    is the first nonzero digit, the twist xi^v conj(x) = (1 - h)^v conj(x)
+    starts (-1)^k (a_k h^k - (a_(k+1) + (v - k) a_k) h^(k+1)).  So an odd
+    k admits no v, and an even k admits at most v = k - 2 a_(k+1) / a_k
+    (Ohtsuki), which one comparison confirms.  On the power basis
+    xi^0 .. xi^(r-1), top coordinate 0, the twist of x has coordinates
+    x_((v - j) mod r), and the congruence is equality of the two residue
+    vectors: at j = v + 1 it forces the twist's top coordinate, which is
+    subtracted off in canonical coordinates, to vanish mod r (r is odd).
+    x = 0 mod r admits every v.  The cost is O(r) when a_0 != 0, as for
+    every invariant, and O(r) more per zero digit before a_k.
     """
     r = x.r
     pv = [c % r for c in x.coeffs] + [0]
-    rev = pv[::-1]
-    return tuple(r - 1 - s for s in reversed(_occurrences(pv, rev + rev[:-1])))
-
-
-def _occurrences(pattern: list[int], text: list[int]) -> list[int]:
-    """The offsets where pattern occurs in text, in increasing order, by
-    Knuth-Morris-Pratt in O(len(pattern) + len(text))."""
-    border = [0] * len(pattern)  # longest proper border of pattern[:i + 1]
-    k = 0
-    for i in range(1, len(pattern)):
-        while k and pattern[i] != pattern[k]:
-            k = border[k - 1]
-        if pattern[i] == pattern[k]:
-            k += 1
-        border[i] = k
-    found = []
-    k = 0
-    for i, ch in enumerate(text):
-        while k and ch != pattern[k]:
-            k = border[k - 1]
-        if ch == pattern[k]:
-            k += 1
-        if k == len(pattern):
-            found.append(i + 1 - k)
-            k = border[k - 1]
-    return found
+    if not any(pv):
+        return tuple(range(r))
+    k, a = 0, head
+    while not a[0]:
+        # a_k = 0, so 1 - xi divides x = x_0 / (1 - xi)^k exactly, and the
+        # quotient's digits are a_(k+1), a_(k+2), ..., the first of them its
+        # coefficient-sum residue
+        x = divide_by_one_minus_xi_power(x, 1)
+        k += 1
+        a = (sum(x.coeffs) % r,)
+    if k % 2:
+        return ()
+    if len(a) < 2:
+        a = ohtsuki_digits(x, 1)
+    v = (k - 2 * a[1] * pow(a[0], -1, r)) % r
+    return (v,) if pv[v::-1] + pv[:v:-1] == pv else ()
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +182,7 @@ def _occurrences(pattern: list[int], text: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    """Search result for x = xi^v * conj(x) mod r over all twists v.
+    """The twists v in [0, r) with x = xi^v * conj(x) mod r.
 
     An empty admissible_v set at an admissible level r rules out
     r-periodicity of the manifold carrying x.  a_table holds the
@@ -205,7 +210,7 @@ def obstruction_test(x: CyclotomicInt, r: int, rs: RootSystem | None = None) -> 
     if x.r != r:
         raise ValueError("x lives at the wrong root of unity")
     table = coeff_table(x, min(3, r - 2))
-    found = _self_twists(x)
+    found = _self_twists(x, tuple(a for _, a in table))
     if not admissible_r(rs, r):
         verdict = "inadmissible_r"
     elif found:
@@ -229,27 +234,28 @@ def quotient_congruence_test(
     against the manifold of x_m being a p-fold cyclic branched cover of
     the manifold of x_m'.  p must not divide r times 2, the Weyl order of
     A1.  Modulo p, Frobenius gives x^p = sigma_p(x), the Galois re-index
-    xi -> xi^p, so neither (x_m')^p nor the generator is multiplied out:
-    the generator is xi^p + xi^-p - xi - xi^-1, which spans the same
-    ideal with p."""
+    xi -> xi^p, so the generator spans the same ideal with p as
+    xi^p + xi^-p - xi - xi^-1 = (xi^p - xi)(1 - xi^-(p+1)).  A root z of
+    the cyclotomic polynomial mod p that kills it has z^(p-1) = 1 or
+    z^(p+1) = 1, so unless p = +-1 mod r the ideal is all of Z[xi] and
+    every u passes.  If p = +-1 mod r the generator is 0 and the ideal is
+    (p): u passes when the coordinates of both sides agree mod p."""
     if not is_prime(p):
         raise ValueError(f"p = {p} must be prime")
     if x_m.r != r or x_m_prime.r != r:
         raise ValueError("invariants live at the wrong root of unity")
     if (2 * r) % p == 0:
         raise ValueError(f"p = {p} must not divide r times the Weyl order")
-    gen = make(r, {p: 1, -p: 1, 1: -1, -1: -1})
+    if p % r not in (1, r - 1):
+        return tuple(range(2 * r))
     power = x_m_prime.galois(p)
-    # modulo p the ring is GF(p)[T] / (1 + T + ... + T^(r-1)), where (gen) is
-    # generated by g = gcd(1 + T + ... + T^(r-1), gen), so membership in
-    # (p, gen) is divisibility by g over GF(p); g is the same for every u
-    g = fp_gcd([1] * r, list(gen.coeffs), p)
+    target = [c % p for c in x_m.coeffs]
     found = []
     for u in range(2 * r):
         # (-xi)^u * power re-indexes coordinates: xi^i moves to xi^(i+u)
         sign = -1 if u % 2 else 1
         shifted = make(r, ((i + u, sign * c) for i, c in enumerate(power.coeffs)))
-        if fp_divides(g, list((x_m - shifted).coeffs), p):
+        if [c % p for c in shifted.coeffs] == target:
             found.append(u)
     return tuple(found)
 
@@ -289,11 +295,14 @@ def discriminant_integers(manifold_id: str) -> tuple[tuple[int, ...], int, int]:
 
 @dataclass(frozen=True)
 class DiscriminantReport:
-    """Per-prime twisted-conjugate defects, CRT-lifted to an integer.
+    """Per-prime twisted-conjugate defects and their lift to an integer.
 
     Any admissible prime period of the manifold must divide `lifted`;
     residues rows are (r, v, delta) with delta = a3(x) - a3(xi^v conj x)
-    taken mod r at the rule-selected twist v."""
+    taken mod r at the rule-selected twist v.  Every row reduces the one
+    integer defect of `discriminant_integers`, so `lifted` is that defect
+    reduced into (-M/2, M/2], M the product of the levels: the defect
+    itself once M exceeds twice its size."""
 
     manifold_id: str
     candidate_v_rule: str
@@ -313,14 +322,20 @@ class DiscriminantReport:
 
 
 def period_discriminant(manifold_id: str, primes) -> DiscriminantReport:
-    """CRT-lift the twisted-conjugate defect of the level-r invariants to
-    a single integer whose prime factors bound the possible periods."""
+    """The twisted-conjugate defect of the invariants at each level, and
+    its lift to a single integer whose prime factors bound the possible
+    periods."""
     prime_list = sorted(set(primes))
     for r in prime_list:
         if not is_prime(r) or r <= 4:
             raise ValueError(f"level {r} must be a prime > 4")
     _, v, delta = discriminant_integers(manifold_id)
+    if not prime_list:
+        raise ValueError("need at least one level")
     rows = tuple((r, v % r, delta % r) for r in prime_list)
-    lifted = crt_symmetric([(r, d) for r, _, d in rows])
+    modulus = prod(prime_list)
+    lifted = delta % modulus
+    if 2 * lifted > modulus:
+        lifted -= modulus
     factors = factorize(abs(lifted)) if lifted else ()
     return DiscriminantReport(manifold_id, CANDIDATE_V_RULE, rows, lifted, factors)

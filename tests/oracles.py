@@ -2,8 +2,10 @@
 
 None of them is used by the package.  `complex_eval` is the independent
 numeric image of an element of Z[xi], `ideal_member` the one-shift-at-a-time
-route that `tau.quotient_congruence_test` batches, `schoolbook_product` the
-coordinate double loop that the packed Z[xi] product replaced,
+route, a gcd and a division over GF(p) (`fp_gcd`, `fp_divides`), that
+`tau.quotient_congruence_test` replaced by reading p mod r,
+`schoolbook_product` the coordinate double loop that the packed Z[xi]
+product replaced,
 `divide_by_one_minus_xi` and `twisted_division` the partial-sum division
 by 1 - xi and the twist-divide-twist route to 1 - xi^e that
 `cyclo.divide_power_vector` replaced, `mirror_unknot` the chain of
@@ -17,7 +19,8 @@ the integers of `tau.discriminant_integers` replaced,
 the contraction behind `linkdiag.kauffman_bracket` and
 `linkdiag.bracket_of_braid` replaced,
 `self_twists_by_rotation` the one-comparison-per-twist search that the
-string match in `tau` replaced, and the two
+digit rule in `tau` replaced, `crt_symmetric` the Chinese remaindering
+that `tau.period_discriminant` replaced by reducing one integer, and the two
 identity checks are facts about Z[T] and the eta moduli that the
 congruences rest on.  The small predicates below them (divisibility,
 residues, braid permutations, free loops, root pairings, the resummed
@@ -40,7 +43,7 @@ from qperiod.cyclo import (
 )
 from qperiod.liedata import RootSystem, gauss_sum
 from qperiod.linkdiag import BraidWord, PlanarDiagram
-from qperiod.modular import fp_divides, fp_gcd, fp_trim, is_prime
+from qperiod.modular import fp_rem, is_prime
 from qperiod.qpoly import HalfLaurent, eta, quantum_integer, reduce_mod
 from qperiod.tau import tau_for
 
@@ -53,6 +56,35 @@ def complex_eval(x: CyclotomicInt, which_root: int = 1) -> complex:
         raise ValueError("which_root must be invertible mod r")
     w = 2j * cmath.pi * which_root / x.r
     return sum(c * cmath.exp(w * i) for i, c in enumerate(x.coeffs))
+
+
+def fp_trim(coeffs: list[int], p: int) -> list[int]:
+    """A dense polynomial over GF(p): coefficients reduced into [0, p),
+    index = degree, no trailing zeros, zero poly = []."""
+    out = [c % p for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over GF(p); gcd(0, 0) = 0."""
+    a, b = fp_trim(a, p), fp_trim(b, p)
+    while b:
+        a, b = b, fp_rem(a, b, p)
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
+def fp_divides(den: list[int], num: list[int], p: int) -> bool:
+    den, num = fp_trim(den, p), fp_trim(num, p)
+    if not num:
+        return True
+    if not den:
+        return False
+    return not fp_rem(num, den, p)
 
 
 def ideal_member(x: CyclotomicInt, p: int, gen: CyclotomicInt) -> bool:
@@ -297,6 +329,30 @@ def self_twists_by_rotation(x: CyclotomicInt) -> tuple[int, ...]:
     r = x.r
     pv = [c % r for c in x.coeffs] + [0]
     return tuple(v for v in range(r) if pv[v::-1] + pv[:v:-1] == pv)
+
+
+def crt_symmetric(pairs: list[tuple[int, int]]) -> int:
+    """Combine residue pairs (modulus, residue) into the representative in
+    (-M/2, M/2] where M is the product of the moduli.
+
+    Moduli must be pairwise coprime.
+    """
+    if not pairs:
+        raise ValueError("need at least one residue pair")
+    m_total, x = 1, 0
+    for m, res in pairs:
+        if m < 2:
+            raise ValueError(f"modulus {m} is not usable")
+        if math.gcd(m, m_total) != 1:
+            raise ValueError(f"moduli are not pairwise coprime at {m}")
+        # lift x from m_total to m_total * m
+        inc = (res - x) * pow(m_total, -1, m) % m
+        x += inc * m_total
+        m_total *= m
+    x %= m_total
+    if 2 * x > m_total:
+        x -= m_total
+    return x
 
 
 def epsilon_residue(x: CyclotomicInt) -> int:

@@ -365,6 +365,15 @@ def test_jones_malformed_pd_content_is_computation_error(capsys, tmp_path) -> No
     assert err.startswith("error:")
 
 
+def test_jones_pd_component_of_arcs_at_no_crossing_is_computation_error(capsys, tmp_path) -> None:
+    # one circle written as two arcs is refused, not counted as two loops
+    path = tmp_path / "circle.pd"
+    path.write_text("component 1 2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, ["jones", "--pd", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: component 1 2 meets no crossing; a free loop is one arc\n"
+
+
 def test_murasugi_pass_and_json(capsys) -> None:
     code, out, _ = run_cli(capsys, ["murasugi", "--braid", "strands 2 : 1", "--p", "3"])
     assert code == 0

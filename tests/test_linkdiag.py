@@ -383,6 +383,8 @@ def test_bracket_matches_state_sum_on_relabelled_diagrams(pair, rng):
         ("X(1,4,2,5)\ncomponent 1 2", "missing from components"),
         ("X(1,3,2,3)\ncomponent 1 2\ncomponent 3", "cannot orient"),
         ("component 1 1", "listed twice"),
+        ("component 1 2", "component 1 2 meets no crossing"),
+        (TREFOIL_PD + "component 7 8 9", "component 7 8 9 meets no crossing"),
     ],
 )
 def test_parse_pd_rejects(text, message):
@@ -395,6 +397,8 @@ def test_diagram_validation():
         PlanarDiagram(((1, 2, 2, 1),), (), ((1, 2),))
     with pytest.raises(ValueError, match="at least one component"):
         PlanarDiagram((), (), ())
+    with pytest.raises(ValueError, match="a free loop is one arc"):
+        PlanarDiagram((), (), ((1,), (2, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Every public function, class and method of the package has a use: some
 module under src/, scripts/ or perfbench/ names it outside its own
 definition.  A routine that only the tests call belongs in tests/oracles.py.
+No module of the package imports a private name from another: what a
+sibling needs is public, and so checked for a use like every public name.
 
 A use is a name, an attribute, an imported name, or one part of a dotted
 string such as perfbench's "cyclo.CyclotomicInt.power"."""
@@ -70,8 +72,39 @@ def parse(paths) -> dict[str, ast.Module]:
     return {str(p): ast.parse(p.read_text(encoding="utf-8")) for p in paths}
 
 
+def private_imports(package: dict[str, ast.Module]) -> list[str]:
+    """'file:name' for each private name that a module of package imports
+    from a sibling module of the package."""
+    found = []
+    for path, tree in package.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "qperiod"
+            ):
+                names = [alias.name for alias in node.names]
+                found += [f"{Path(path).name}:{n}" for n in names if n.startswith("_")]
+    return found
+
+
 def test_every_public_name_has_a_use():
     assert unused(parse(PACKAGE), parse(USERS)) == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    assert private_imports(parse(PACKAGE)) == []
+
+
+@pytest.mark.parametrize(
+    "source, verdict",
+    [
+        ("from .cyclo import _peel, make", ["mod.py:_peel"]),
+        ("from qperiod.cyclo import _peel", ["mod.py:_peel"]),
+        ("from . import _helpers", ["mod.py:_helpers"]),
+        ("from .cyclo import make\nfrom dataclasses import _MISSING_TYPE", []),
+    ],
+)
+def test_private_import_guard(source, verdict):
+    assert private_imports({"mod.py": ast.parse(source)}) == verdict
 
 
 @pytest.mark.parametrize(

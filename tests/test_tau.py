@@ -9,7 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import divisible_by, ideal_member, level_discriminant_row, self_twists_by_rotation
+from oracles import (
+    crt_symmetric,
+    divisible_by,
+    ideal_member,
+    level_discriminant_row,
+    one_minus_xi,
+    self_twists_by_rotation,
+)
 from qperiod.cyclo import CyclotomicInt, make, ohtsuki_expansion, twist_conjugate
 from qperiod.liedata import build_root_system
 from qperiod.tau import (
@@ -26,7 +33,7 @@ from qperiod.tau import (
     tau_s3,
     _tau_sum,
 )
-from qperiod.modular import crt_symmetric, is_prime
+from qperiod.modular import is_prime
 
 A1 = build_root_system("A", 1)
 LEVELS_TO_2000 = [r for r in range(5, 2000) if is_prime(r)]
@@ -269,17 +276,24 @@ def test_twist_conjugate_matches_product_reference(data) -> None:
             st.lists(st.integers(-50, 50), min_size=r - 1, max_size=r - 1),
             st.integers(0, r - 1),
             st.lists(st.integers(-3, 3), min_size=r - 1, max_size=r - 1),
+            st.integers(0, r - 1),
+            st.booleans(),
         )
     )
 )
 def test_obstruction_search_matches_brute_force_on_symmetric_elements(data) -> None:
-    # x = y + xi^v conj(y) + r z admits v and possibly more twists; the
-    # search must find exactly those the reference products admit
-    r, y_coeffs, v, z_coeffs = data
-    y = CyclotomicInt(r, tuple(y_coeffs))
+    # x = y + xi^v conj(y) + r z admits v and possibly more twists.  Since
+    # conj(1 - xi) = -xi^-1 (1 - xi), x (1 - xi)^j admits v + j for even j;
+    # j sweeps the (1 - xi)-adic valuation through odd and even values, and
+    # j = r - 1 or dropping y makes the element 0 mod r.  The search must
+    # find exactly the twists the reference products admit
+    r, y_coeffs, v, z_coeffs, j, zero = data
+    y = CyclotomicInt.zero(r) if zero else CyclotomicInt(r, tuple(y_coeffs))
     x = y + reference_twist(y, v) + CyclotomicInt(r, tuple(z_coeffs)) * r
+    x = x * one_minus_xi(r) ** j
     want = tuple(u for u in range(r) if divisible_by(x - reference_twist(x, u), r))
-    assert v in want
+    if j % 2 == 0:
+        assert (v + j) % r in want
     assert obstruction_test(x, r, A1).admissible_v == want == self_twists_by_rotation(x)
 
 
@@ -439,6 +453,36 @@ def test_crt_lift_validation() -> None:
         crt_symmetric([])
 
 
+LEVELS_TO_200 = [r for r in range(5, 200) if is_prime(r)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(MANIFOLDS),
+    st.lists(st.sampled_from(LEVELS_TO_200), min_size=1, max_size=4, unique=True),
+)
+@example("poincare", [5, 7])
+@example("brieskorn_2_3_7", [5, 11])
+@example("brieskorn_2_3_7", [5, 7, 11])
+def test_lift_is_the_crt_of_the_residues(manifold: str, levels: list[int]) -> None:
+    rep = period_discriminant(manifold, levels)
+    assert rep.lifted == crt_symmetric([(r, d) for r, _, d in rep.residues])
+
+
+@pytest.mark.parametrize(
+    "manifold, levels, lifted",
+    [
+        ("poincare", [5, 7], -10),
+        ("brieskorn_2_3_7", [5, 11], 24),
+        ("brieskorn_2_3_7", [5, 7, 11], 189),
+    ],
+)
+def test_lift_below_twice_the_defect(manifold: str, levels: list[int], lifted: int) -> None:
+    # a product of levels below twice the defect lifts to its symmetric
+    # residue, not to the defect
+    assert period_discriminant(manifold, levels).lifted == lifted
+
+
 def test_poincare_discriminant() -> None:
     start = time.monotonic()
     rep = period_discriminant("poincare", [7, 11, 13, 17])
@@ -519,6 +563,8 @@ def test_discriminant_level_validation() -> None:
         period_discriminant("poincare", [3, 7])
     with pytest.raises(ValueError, match="unknown manifold"):
         period_discriminant("nope", [7, 11])
+    with pytest.raises(ValueError, match="at least one level"):
+        period_discriminant("poincare", [])
 
 
 def test_discriminant_json_shape() -> None:
