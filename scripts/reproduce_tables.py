@@ -1,6 +1,6 @@
 """Regenerate the headline tables: low Ohtsuki coefficients of the two
 Brieskorn invariants, their twisted conjugates, the obstruction verdicts,
-and the CRT-lifted period discriminants.
+and the period discriminants, one integer defect reduced over the levels.
 
 Run as: python3 scripts/reproduce_tables.py
 """

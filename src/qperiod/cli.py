@@ -2,11 +2,18 @@
 
 One table, COMMANDS, drives the subcommands.  Its row for a subcommand
 holds the help text, the adders of its arguments, and one function that
-checks the arguments, computes, and returns the JSON report together
-with a callable that renders the text lines.  `build_parser` builds every
-subparser from the table and `main` runs the chosen row; main is the one
-place that prints a report.  A new subcommand is one function that
-returns (report, text) and one more row in COMMANDS.
+computes and returns the JSON report together with a callable that
+renders the text lines.  `build_parser` builds every subparser from the
+table and `main` runs the chosen row; main is the one place that prints a
+report.  A new subcommand is one function that returns (report, text)
+and one more row in COMMANDS.
+
+The library checks every argument and refuses a bad one with
+`modular.InputError`, which main reports as a usage error.  The CLI
+checks only what names one of its own flags: an empty --primes, the
+--max-cosets cap and an unreadable --pd.  Where the library would check
+an argument only after some work, a row calls that same library rule
+first, so every refusal comes before the work it guards.
 
 JSON output (--json) is the scripting contract: field order is fixed, so
 identical inputs produce byte-identical bytes, and integers that do not
@@ -14,8 +21,8 @@ fit exactly in a double travel as decimal strings.  The default table
 output is for humans and aligns coefficient columns.
 
 Exit codes: 0 success (a failed congruence is still a successful check),
-2 usage error (bad flags, eagerly rejected arguments, an input over a cost
-cap), 1 computation error, or an output pipe its reader closed (with
+2 usage error (bad flags, an InputError from the library, an input over a
+cost cap), 1 computation error, or an output pipe its reader closed (with
 nothing on stderr)."""
 from __future__ import annotations
 
@@ -26,22 +33,22 @@ import sys
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .cyclo import NotDivisibleError
-from .liedata import build_root_system, constants, gauss_report
+from .cyclo import require_depth
+from .liedata import build_root_system, constants, gauss_report, require_level
 from .linkdiag import (
     BraidWord,
-    WidthLimitError,
     jones,
     jones_of_braid,
     murasugi_check,
     parse_braid,
     parse_pd,
+    require_period,
     yokota_check,
     yokota_check_braid,
 )
-from .modular import is_prime
+from .modular import InputError
 from .qpoly import poly_text, poly_to_json
-from .tau import coeff_table, obstruction_test, period_discriminant, tau_for
+from .tau import coeff_table, obstruction_test, period_discriminant, require_manifold_level, tau_for
 
 MANIFOLD_IDS = {"poincare": "poincare", "brieskorn237": "brieskorn_2_3_7", "s3": "s3"}
 
@@ -53,18 +60,6 @@ GAUSS_MAX_COSETS = 200_000
 # what a row's function returns: the JSON report, and its text lines,
 # rendered only for table output
 Report = tuple[dict, Callable[[], list[str]]]
-
-
-def _algebra_name(family: str, rank: int) -> str:
-    if family == "A":
-        return f"sl{rank + 1}"
-    if family == "B":
-        return f"so{2 * rank + 1}"
-    if family == "C":
-        return f"sp{2 * rank}"
-    if family == "D":
-        return f"so{2 * rank}"
-    return f"{family.lower()}{rank}"
 
 
 def aligned(header: tuple[str, ...], rows) -> list[str]:
@@ -80,50 +75,14 @@ def factor_text(factorization) -> str:
     return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factorization)
 
 
-def _is_prime(sub: argparse.ArgumentParser, name: str, n: int) -> bool:
-    """is_prime(n), where n too large to decide is a usage error."""
-    try:
-        return is_prime(n)
-    except ValueError as exc:
-        sub.error(f"{name} = {n}: {exc}")
-
-
-def _require_prime(sub: argparse.ArgumentParser, name: str, n: int) -> None:
-    if not _is_prime(sub, name, n):
-        sub.error(f"{name} = {n} must be prime")
-
-
-def _require_odd_prime(sub: argparse.ArgumentParser, name: str, n: int) -> None:
-    _require_prime(sub, name, n)
-    if n == 2:
-        sub.error(f"{name} = 2 must be an odd prime")
-
-
-def _manifold_at_level(args) -> str:
-    """The manifold id of --manifold, once --r is a level for it: an odd
-    prime for s3, a prime above d*h_dual = 4 for the others."""
-    mid = MANIFOLD_IDS[args.manifold]
-    if mid == "s3":
-        _require_odd_prime(args.sub, "r", args.r)
-    else:
-        _require_prime(args.sub, "r", args.r)
-        if args.r <= 4:
-            args.sub.error(f"r = {args.r} must exceed d*h_dual = 4 for sl2")
-    return mid
-
-
-def _depth(args, default: int) -> int:
+def _depth(args, mid: str, default: int) -> int:
+    """--depth or the default.  tau checks its level and the table its
+    depth, but the table only after tau is computed, so both rules run
+    here first, in that order."""
+    require_manifold_level(mid, args.r)
     depth = default if args.depth is None else args.depth
-    if not 0 <= depth <= args.r - 2:
-        args.sub.error(f"depth = {depth} must lie in [0, r-2] = [0, {args.r - 2}]")
+    require_depth(depth, args.r)
     return depth
-
-
-def _build_system(sub: argparse.ArgumentParser, family: str, rank: int):
-    try:
-        return build_root_system(family, rank)
-    except ValueError as exc:
-        sub.error(str(exc))
 
 
 def _parse_primes(text: str) -> list[int]:
@@ -133,17 +92,10 @@ def _parse_primes(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
 
 
-def _load_braid(sub: argparse.ArgumentParser, text: str) -> BraidWord:
-    try:
-        return parse_braid(text)
-    except ValueError as exc:
-        sub.error(str(exc))
-
-
 def _load_link(args):
     """The BraidWord of --braid or the PlanarDiagram read from --pd."""
     if args.braid is not None:
-        return _load_braid(args.sub, args.braid)
+        return parse_braid(args.braid)
     try:
         with open(args.pd, encoding="utf-8") as fh:
             text = fh.read()
@@ -162,12 +114,12 @@ def _congruence(name: str, p: int, rep) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: check the arguments, compute, return (report, text)
+# subcommands: compute and return (report, text)
 
 
 def _tau(args) -> Report:
-    mid = _manifold_at_level(args)
-    depth = _depth(args, min(3, args.r - 2))
+    mid = MANIFOLD_IDS[args.manifold]
+    depth = _depth(args, mid, min(3, args.r - 2))
     value = tau_for(mid, args.r)
     rows = coeff_table(value.value, depth)
     return value.to_json() | {"a": [[n, a] for n, a in rows]}, lambda: [
@@ -179,8 +131,9 @@ def _tau(args) -> Report:
 
 
 def _obstruct(args) -> Report:
-    mid = _manifold_at_level(args)
-    rs = _build_system(args.sub, args.type, args.rank)
+    mid = MANIFOLD_IDS[args.manifold]
+    require_manifold_level(mid, args.r)  # before --type and --rank
+    rs = build_root_system(args.type, args.rank)
     rep = obstruction_test(tau_for(mid, args.r).value, args.r, rs)
     return rep.to_json(mid), lambda: [
         f"manifold {mid}",
@@ -195,9 +148,6 @@ def _discriminant(args) -> Report:
     mid = MANIFOLD_IDS[args.manifold]
     if not args.primes:
         args.sub.error("--primes is an empty list; give at least one prime level > 4")
-    for r in args.primes:
-        if not _is_prime(args.sub, "level r", r) or r <= 4:
-            args.sub.error(f"level r = {r} must be a prime > 4")
     rep = period_discriminant(mid, args.primes)
 
     def text() -> list[str]:
@@ -209,8 +159,8 @@ def _discriminant(args) -> Report:
 
 
 def _ohtsuki(args) -> Report:
-    mid = _manifold_at_level(args)
-    depth = _depth(args, args.r - 2)
+    mid = MANIFOLD_IDS[args.manifold]
+    depth = _depth(args, mid, args.r - 2)
     rows = coeff_table(tau_for(mid, args.r).value, depth)
     report = {"manifold": mid, "r": args.r, "a": [[n, a] for n, a in rows]}
     return report, lambda: aligned(("n", "a_n"), rows)
@@ -223,30 +173,23 @@ def _jones(args) -> Report:
 
 
 def _murasugi(args) -> Report:
-    _require_odd_prime(args.sub, "p", args.p)
-    b = _load_braid(args.sub, args.braid)
-    return _congruence("murasugi", args.p, murasugi_check(b, args.p))
+    require_period(args.p)  # before the braid is parsed
+    return _congruence("murasugi", args.p, murasugi_check(parse_braid(args.braid), args.p))
 
 
 def _yokota(args) -> Report:
-    _require_odd_prime(args.sub, "p", args.p)
+    require_period(args.p)  # before the link is loaded
     link = _load_link(args)
     check = yokota_check_braid if isinstance(link, BraidWord) else yokota_check
     return _congruence("yokota", args.p, check(link, args.p))
 
 
 def _gauss(args) -> Report:
-    sub = args.sub
-    rs = _build_system(sub, args.type, args.rank)
-    _require_prime(sub, "r", args.r)
-    bound = constants(rs).d * constants(rs).h_dual
-    if args.r <= bound:
-        sub.error(
-            f"r = {args.r} must exceed d*h_dual = {bound} for {_algebra_name(args.type, args.rank)}"
-        )
+    rs = build_root_system(args.type, args.rank)
+    require_level(rs, args.r)  # before the coset cap
     cosets = args.r**args.rank
     if cosets > args.max_cosets:
-        sub.error(
+        args.sub.error(
             f"r^rank = {args.r}^{args.rank} = {cosets} cosets exceeds the limit of "
             f"{args.max_cosets}; raise it with --max-cosets"
         )
@@ -265,7 +208,7 @@ def _gauss(args) -> Report:
 
 
 def _liedata(args) -> Report:
-    rs = _build_system(args.sub, args.type, args.rank)
+    rs = build_root_system(args.type, args.rank)
     cs = constants(rs)
     rows = [
         ("d", cs.d),
@@ -355,7 +298,7 @@ COMMANDS = {
                    (_add_manifold, _LEVEL, _depth_option("3")), _tau),
     "obstruct": Command("twisted-conjugation periodicity obstruction",
                         (_add_manifold, _LEVEL, partial(_add_system, required=False)), _obstruct),
-    "discriminant": Command("CRT-lifted period discriminant over prime levels",
+    "discriminant": Command("period discriminant: one integer defect reduced over prime levels",
                             (_add_manifold, _PRIMES), _discriminant),
     "ohtsuki": Command("(1-xi)-adic coefficient table of an invariant",
                        (_add_manifold, _LEVEL, _depth_option("r-2")), _ohtsuki),
@@ -394,10 +337,11 @@ def main(argv: list[str] | None = None) -> int:
         report, text = COMMANDS[args.subcommand].run(args)
         print(json.dumps(report) if args.json else "\n".join(text()))
         sys.stdout.flush()
-    except WidthLimitError as exc:
-        # a cost refusal, so a usage error; WidthLimitError is a ValueError
+    except InputError as exc:
+        # a refused argument or an input over a cost cap; InputError is a
+        # ValueError, so this clause comes first
         args.sub.error(str(exc))
-    except (ValueError, NotDivisibleError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:

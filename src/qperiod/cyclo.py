@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Iterable, Mapping
 
-from .modular import encode_int, is_prime
+from .modular import InputError, encode_int, is_prime
 
 
 class NotDivisibleError(ValueError):
@@ -265,7 +265,8 @@ class OhtsukiExpansion:
 
 def _peel(cur: list[int], count: int) -> list[int]:
     """Peel count digits off the power-basis vector cur of an element of
-    Z[xi], leaving in cur the cofactor of (1 - xi)^count, top coordinate 0.
+    Z[xi], leaving in cur the cofactor of (1 - xi)^count, top coordinate 0;
+    count exact divisions.
 
     Each step takes the coefficient-sum residue a as the digit and divides
     cur - a exactly by (1 - xi) with divide_power_vector.
@@ -280,12 +281,20 @@ def _peel(cur: list[int], count: int) -> list[int]:
     return digits
 
 
+def require_depth(depth: int, r: int) -> None:
+    """Refuse a depth outside [0, r-2]: an element of Z[xi] has r - 1
+    Ohtsuki digits."""
+    if not 0 <= depth <= r - 2:
+        raise InputError(f"depth = {depth} must lie in [0, r-2] = [0, {r - 2}]")
+
+
 def ohtsuki_digits(x: CyclotomicInt, depth: int) -> tuple[int, ...]:
     """The digits a_0 .. a_depth of the (1 - xi)-adic expansion of x, for
-    0 <= depth <= r-2, in O(depth * r)."""
-    if not 0 <= depth <= x.r - 2:
-        raise ValueError(f"depth must lie in [0, {x.r - 2}]")
-    return tuple(_peel([*x.coeffs, 0], depth + 1))
+    0 <= depth <= r-2, in O(depth * r): depth exact divisions, and the
+    last digit is the cofactor's coefficient-sum residue."""
+    require_depth(depth, x.r)
+    cur = [*x.coeffs, 0]
+    return (*_peel(cur, depth), sum(cur) % x.r)
 
 
 def ohtsuki_expansion(x: CyclotomicInt) -> OhtsukiExpansion:

@@ -30,7 +30,7 @@ from .cyclo import (
     make,
     twist_conjugate,
 )
-from .modular import is_prime
+from .modular import InputError, is_prime, require_prime
 
 RANK_CAPS = {"A": (1, 6), "B": (2, 5), "C": (2, 5), "D": (4, 5), "F": (4, 4), "G": (2, 2)}
 
@@ -38,7 +38,7 @@ RANK_CAPS = {"A": (1, 6), "B": (2, 5), "C": (2, 5), "D": (4, 5), "F": (4, 4), "G
 def _cartan_and_symmetrizers(family: str, rank: int) -> tuple[list[list[int]], list[int]]:
     lo, hi = RANK_CAPS.get(family, (0, -1))
     if not lo <= rank <= hi:
-        raise ValueError(f"unsupported root system {family}{rank}")
+        raise InputError(f"unsupported root system {family}{rank}")
     a = [[2 * (i == j) for j in range(rank)] for i in range(rank)]
 
     def chain(i: int, j: int) -> None:
@@ -200,17 +200,26 @@ def constants(rs: RootSystem) -> LieConstants:
     return LieConstants(d_max, denom, h, 1 + h_dual, det, weyl_order)
 
 
-def _require_admissible_size(rs: RootSystem, r: int) -> None:
-    if not is_prime(r):
-        raise ValueError(f"r = {r} is not prime")
+def _algebra_name(rs: RootSystem) -> str:
+    """The Lie algebra of rs, as sl2, so5 or g2."""
+    l = rs.rank
+    names = {"A": f"sl{l + 1}", "B": f"so{2 * l + 1}", "C": f"sp{2 * l}", "D": f"so{2 * l}"}
+    return names.get(rs.family, f"{rs.family.lower()}{l}")
+
+
+def require_level(rs: RootSystem, r: int) -> None:
+    """Refuse r unless it is a prime above d*h_dual, where the Gauss sum
+    and the unknot normaliser are defined."""
+    require_prime("r", r)
     cs = constants(rs)
-    if r <= cs.d * cs.h_dual:
-        raise ValueError(f"r = {r} must exceed d*h_dual = {cs.d * cs.h_dual}")
+    bound = cs.d * cs.h_dual
+    if r <= bound:
+        raise InputError(f"r = {r} must exceed d*h_dual = {bound} for {_algebra_name(rs)}")
 
 
 def gauss_sum(rs: RootSystem, r: int) -> CyclotomicInt:
     """Sum of xi^((mu|mu)/2 + (mu|rho)) over the r^l root-lattice cosets."""
-    _require_admissible_size(rs, r)
+    require_level(rs, r)
     l = rs.rank
     gram = [[rs.d[i] * rs.cartan[i][j] for j in range(l)] for i in range(l)]
     counts = [0] * r
@@ -230,8 +239,7 @@ def gauss_sum(rs: RootSystem, r: int) -> CyclotomicInt:
 
 def kernel_size(rs: RootSystem, r: int) -> int:
     """r^(l - rank of the Gram matrix over the r-element field)."""
-    if not is_prime(r):
-        raise ValueError(f"r = {r} is not prime")
+    require_prime("r", r)
     l = rs.rank
     m = [[rs.d[i] * rs.cartan[i][j] % r for j in range(l)] for i in range(l)]
     rank = 0
@@ -263,7 +271,7 @@ def f_unknot(rs: RootSystem, r: int) -> CyclotomicInt:
     prime r > d*h_dual the Gram form is nondegenerate mod r, so gamma
     times its conjugate is r^l and gamma has (1 - xi)-adic valuation
     l(r-1)/2, at least |Phi+| = l*h/2 because r > h."""
-    _require_admissible_size(rs, r)
+    require_level(rs, r)
     quotient = gauss_sum(rs, r)
     for beta in rs.positive_roots:
         try:
@@ -291,7 +299,7 @@ def verify_ratio(rs: RootSystem, r: int) -> tuple[bool, int]:
     (False, 0) when neither does.  With |rho|^2 = (2rho|2rho)/4, E is
     ((r+1)^2+2)(2rho|2rho)/4.  xi^(-E) conj F is the twisted conjugate,
     a re-indexing."""
-    _require_admissible_size(rs, r)
+    require_level(rs, r)
     # r is odd, so (r+1)^2 + 2 = 2 mod 4; (2rho|2rho) is an even lattice norm
     exponent = ((r + 1) ** 2 + 2) * rs.bilinear(rs.two_rho, rs.two_rho) // 4
     f = f_unknot(rs, r)

@@ -39,7 +39,7 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .modular import is_prime
+from .modular import InputError, require_prime
 from .qpoly import HalfLaurent, eta, poly_to_json, quantum_integer, reduce_mod
 
 # A boundary of w arcs carries up to Catalan(w/2) matchings, about 4x more
@@ -51,7 +51,7 @@ from .qpoly import HalfLaurent, eta, poly_to_json, quantum_integer, reduce_mod
 BOUNDARY_WIDTH_CAP = 18
 
 
-class WidthLimitError(ValueError):
+class WidthLimitError(InputError):
     """Bracket refused: the contraction's open boundary would be wider
     than BOUNDARY_WIDTH_CAP arcs, so it would carry too many matchings."""
 
@@ -69,10 +69,10 @@ class BraidWord:
 
     def __post_init__(self) -> None:
         if self.strands < 1:
-            raise ValueError("braid needs at least one strand")
+            raise InputError("braid needs at least one strand")
         for w in self.letters:
             if w == 0 or abs(w) >= self.strands:
-                raise ValueError(f"letter {w} invalid for {self.strands} strands")
+                raise InputError(f"letter {w} invalid for {self.strands} strands")
 
     @property
     def writhe(self) -> int:
@@ -83,7 +83,7 @@ def parse_braid(text: str) -> BraidWord:
     """Parse 'strands N : w1 w2 ...'; an empty letter list is allowed."""
     m = re.fullmatch(r"\s*strands\s+(\d+)\s*:\s*((?:-?\d+\s*)*)", text)
     if not m:
-        raise ValueError(f"cannot parse braid {text!r}; expected 'strands N : w1 w2 ...'")
+        raise InputError(f"cannot parse braid {text!r}; expected 'strands N : w1 w2 ...'")
     strands = int(m.group(1))
     letters = tuple(int(tok) for tok in m.group(2).split())
     return BraidWord(strands, letters)
@@ -568,9 +568,10 @@ class CongruenceReport:
         }
 
 
-def _require_odd_prime(p: int) -> None:
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"need an odd prime period, got {p}")
+def require_period(p: int) -> None:
+    """Refuse p unless it is an odd prime, the periods the Murasugi and
+    Yokota congruences speak of."""
+    require_prime("p", p, odd=True)
 
 
 def _congruence(lhs: HalfLaurent, rhs: HalfLaurent, p: int, gen: HalfLaurent) -> CongruenceReport:
@@ -583,15 +584,14 @@ def murasugi_check(b: BraidWord, p: int) -> CongruenceReport:
     b modulo (p, eta_p(t)); the congruence holds whenever the big link is
     p-periodic with the small one as quotient, which is true here by
     construction."""
-    _require_odd_prime(p)
+    require_period(p)
     return _congruence(jones_of_braid(braid_power(b, p)), jones_of_braid(b) ** p, p, eta(p))
 
 
 def p2_check(b: BraidWord, p: int) -> CongruenceReport:
     """Same comparison for the q-normalized two-strand invariant modulo
     (p, [2]^p - [2]); p = 2 is allowed here."""
-    if not is_prime(p):
-        raise ValueError(f"need a prime period, got {p}")
+    require_prime("p", p)
     two = quantum_integer(2)
     lhs = two_strand_invariant(jones_of_braid(braid_power(b, p)))
     rhs = two_strand_invariant(jones_of_braid(b)) ** p
@@ -601,14 +601,14 @@ def p2_check(b: BraidWord, p: int) -> CongruenceReport:
 def yokota_check(d: PlanarDiagram, p: int) -> CongruenceReport:
     """Self-congruence V(t) = t^(2 lk) V(1/t) mod (p, t^p - 1), a necessary
     condition for p-periodicity; odd primes only."""
-    _require_odd_prime(p)
+    require_period(p)
     return _yokota(jones(d), d, p)
 
 
 def yokota_check_braid(b: BraidWord, p: int) -> CongruenceReport:
     """yokota_check for a braid closure; the one closure feeds both the
     bracket and the linking data."""
-    _require_odd_prime(p)
+    require_period(p)
     d = closure(b)
     return _yokota(_bracket_to_jones(_contract(d), b.writhe), d, p)
 

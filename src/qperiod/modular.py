@@ -3,6 +3,9 @@
 Primality, the remainder of dense polynomials over a prime field, and
 trial-division factorization.  Everything here works on plain Python
 integers, so all results are exact at any size.
+
+Every layer refuses an inadmissible argument with InputError, worded
+for the user: a ValueError that the CLI reports as a usage error.
 """
 from __future__ import annotations
 
@@ -43,6 +46,27 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+class InputError(ValueError):
+    """An argument refused before any work, in words the user can act on."""
+
+
+def is_prime_argument(name: str, n: int) -> bool:
+    """is_prime(n) for the argument called name; InputError where n is
+    too large to decide."""
+    try:
+        return is_prime(n)
+    except ValueError as exc:
+        raise InputError(f"{name} = {n}: {exc}") from None
+
+
+def require_prime(name: str, n: int, odd: bool = False) -> None:
+    """Refuse the argument name = n unless it is prime, and odd if asked."""
+    if not is_prime_argument(name, n):
+        raise InputError(f"{name} = {n} must be prime")
+    if odd and n == 2:
+        raise InputError(f"{name} = 2 must be an odd prime")
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .modular import encode_int, fp_rem, is_prime
+from .modular import encode_int, fp_rem, require_prime
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,7 @@ def quantum_integer(n: int) -> HalfLaurent:
 
 def eta(p: int) -> HalfLaurent:
     """The congruence modulus sum_{j<p} (-t)^j - t^((p-1)/2) for odd primes."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"eta is defined for odd primes only, got {p}")
+    require_prime("p", p, odd=True)
     acc: dict[int, int] = {2 * j: (-1) ** j for j in range(p)}
     acc[p - 1] = acc.get(p - 1, 0) - 1
     return HalfLaurent.from_dict(acc)
@@ -177,8 +176,7 @@ def reduce_mod(f: HalfLaurent, p: int, g: HalfLaurent) -> HalfLaurent:
     zero exactly when f lies in the ideal.  The generator must be nonzero
     with leading and trailing coefficients invertible mod p.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    require_prime("p", p)
     if g.is_zero:
         raise ValueError("zero generator: reduce coefficients mod p instead")
     gv = _clear_to_fp_vector(g, p, -g.min_exp)

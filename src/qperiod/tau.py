@@ -54,7 +54,7 @@ from .cyclo import (
     ohtsuki_digits,
 )
 from .liedata import RootSystem, admissible_r, build_root_system
-from .modular import encode_int, factorize, is_prime
+from .modular import InputError, encode_int, factorize, is_prime_argument, require_prime
 from .qpoly import HalfLaurent
 
 MANIFOLDS = ("poincare", "brieskorn_2_3_7", "s3")
@@ -78,9 +78,15 @@ class TauValue:
         return {"manifold": self.manifold_id, "r": self.value.r, "value": cyclo_to_json(self.value)}
 
 
-def _require_level(r: int) -> None:
-    if not is_prime(r) or r < 5:
-        raise ValueError(f"r = {r} must be a prime >= 5")
+def require_manifold_level(manifold_id: str, r: int) -> None:
+    """Refuse r unless it is a level for the manifold: an odd prime for
+    s3, a prime above d*h_dual = 4 for the others."""
+    if manifold_id == "s3":
+        require_prime("r", r, odd=True)
+        return
+    require_prime("r", r)
+    if r <= 4:
+        raise InputError(f"r = {r} must exceed d*h_dual = 4 for sl2")
 
 
 def _shift_subtract(w: list[int], k: int) -> list[int]:
@@ -103,20 +109,19 @@ def _tau_sum(r: int, front_exponent) -> CyclotomicInt:
 
 def tau_poincare(r: int) -> TauValue:
     """Invariant of the Poincare sphere (-1 surgery on the left trefoil)."""
-    _require_level(r)
+    require_manifold_level("poincare", r)
     return TauValue("poincare", _tau_sum(r, FRONT_EXPONENTS["poincare"]))
 
 
 def tau_brieskorn237(r: int) -> TauValue:
     """Invariant of the Brieskorn sphere Sigma(2,3,7)."""
-    _require_level(r)
+    require_manifold_level("brieskorn_2_3_7", r)
     return TauValue("brieskorn_2_3_7", _tau_sum(r, FRONT_EXPONENTS["brieskorn_2_3_7"]))
 
 
 def tau_s3(r: int) -> TauValue:
     """Normalization baseline: the empty surgery has invariant 1."""
-    if not is_prime(r):
-        raise ValueError(f"r = {r} must be prime")
+    require_manifold_level("s3", r)
     return TauValue("s3", CyclotomicInt.one(r))
 
 
@@ -127,7 +132,7 @@ def tau_for(manifold_id: str, r: int) -> TauValue:
         return tau_brieskorn237(r)
     if manifold_id == "s3":
         return tau_s3(r)
-    raise ValueError(f"unknown manifold {manifold_id!r}")
+    raise InputError(f"unknown manifold {manifold_id!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +245,11 @@ def quotient_congruence_test(
     z^(p+1) = 1, so unless p = +-1 mod r the ideal is all of Z[xi] and
     every u passes.  If p = +-1 mod r the generator is 0 and the ideal is
     (p): u passes when the coordinates of both sides agree mod p."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} must be prime")
+    require_prime("p", p)
     if x_m.r != r or x_m_prime.r != r:
         raise ValueError("invariants live at the wrong root of unity")
     if (2 * r) % p == 0:
-        raise ValueError(f"p = {p} must not divide r times the Weyl order")
+        raise InputError(f"p = {p} must not divide r times the Weyl order")
     if p % r not in (1, r - 1):
         return tuple(range(2 * r))
     power = x_m_prime.galois(p)
@@ -287,7 +291,7 @@ def discriminant_integers(manifold_id: str) -> tuple[tuple[int, ...], int, int]:
                 window = window * (1 - HalfLaurent.monomial(2 * k))
             head = head + HalfLaurent.monomial(2 * FRONT_EXPONENTS[manifold_id](n)) * window
     else:
-        raise ValueError(f"unknown manifold {manifold_id!r}")
+        raise InputError(f"unknown manifold {manifold_id!r}")
     c = _taylor_at_one(head)
     v = -2 * c[1]  # c_0 = 1: W(0) = 1 and every later window vanishes at q = 1
     return c, v, c[3] - _taylor_at_one(HalfLaurent.monomial(2 * v) * head.mirror())[3]
@@ -324,14 +328,15 @@ class DiscriminantReport:
 def period_discriminant(manifold_id: str, primes) -> DiscriminantReport:
     """The twisted-conjugate defect of the invariants at each level, and
     its lift to a single integer whose prime factors bound the possible
-    periods."""
-    prime_list = sorted(set(primes))
-    for r in prime_list:
-        if not is_prime(r) or r <= 4:
-            raise ValueError(f"level {r} must be a prime > 4")
+    periods.  The levels are checked in the order given."""
+    levels = list(primes)
+    for r in levels:
+        if not is_prime_argument("level r", r) or r <= 4:
+            raise InputError(f"level r = {r} must be a prime > 4")
+    prime_list = sorted(set(levels))
     _, v, delta = discriminant_integers(manifold_id)
     if not prime_list:
-        raise ValueError("need at least one level")
+        raise InputError("need at least one level")
     rows = tuple((r, v % r, delta % r) for r in prime_list)
     modulus = prod(prime_list)
     lifted = delta % modulus

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -16,22 +17,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qperiod import cli
+from qperiod import cli, liedata, tau
 from qperiod.cli import GAUSS_MAX_COSETS, main
-from qperiod.cyclo import cyclo_to_json
-from qperiod.liedata import build_root_system, gauss_report
+from qperiod.cyclo import CyclotomicInt, cyclo_to_json, ohtsuki_digits
+from qperiod.liedata import build_root_system, gauss_report, gauss_sum, kernel_size
 from qperiod.linkdiag import (
     BOUNDARY_WIDTH_CAP,
     BraidWord,
+    WidthLimitError,
     closure,
     jones,
     murasugi_check,
+    p2_check,
     parse_braid,
     parse_pd,
     pd_text,
+    yokota_check_braid,
 )
+from qperiod.modular import InputError
 from qperiod.qpoly import poly_to_json
-from qperiod.tau import obstruction_test, period_discriminant, tau_for
+from qperiod.tau import obstruction_test, period_discriminant, quotient_congruence_test, tau_for
+from test_cli_golden import command_line, golden_entries
 
 SUBCOMMANDS = [
     "tau",
@@ -470,6 +476,86 @@ def test_liedata_bad_rank_is_usage_error(capsys) -> None:
     code, _, err = run_cli(capsys, ["liedata", "--type", "D", "--rank", "3"])
     assert code == 2
     assert "unsupported root system D3" in err
+
+
+# ---------------------------------------------------------------------------
+# refusals: the library's words, before the work they guard
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tau", "--manifold", "poincare", "--r", "7", "--depth", "-1"],
+         "depth = -1 must lie in [0, r-2] = [0, 5]"),
+        (["ohtsuki", "--manifold", "poincare", "--r", "7", "--depth", "6"],
+         "depth = 6 must lie in [0, r-2] = [0, 5]"),
+        (["obstruct", "--manifold", "poincare", "--r", "7", "--type", "E", "--rank", "6"],
+         "unsupported root system E6"),
+        (["gauss", "--type", "A", "--rank", "6", "--r", "53"],
+         f"r^rank = 53^6 = {53**6} cosets exceeds the limit of {GAUSS_MAX_COSETS}; "
+         "raise it with --max-cosets"),
+    ],
+)
+def test_refusal_comes_before_the_work(capsys, monkeypatch, argv, message) -> None:
+    def work(*args):
+        raise AssertionError("reached the work that the refusal guards")
+
+    monkeypatch.setattr(tau, "_tau_sum", work)
+    monkeypatch.setattr(liedata, "gauss_sum", work)
+    with pytest.raises(AssertionError, match="reached"):
+        main(["tau", "--manifold", "poincare", "--r", "7"])  # the patch is live
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == f"qperiod {argv[0]}: error: {message}"
+
+
+B = parse_braid("strands 2 : 1 1 1")
+ONE = CyclotomicInt.one(5)
+
+
+@pytest.mark.parametrize(
+    "case, call",
+    [
+        ("tau --manifold poincare --r 6", lambda: tau_for("poincare", 6)),
+        ("tau --manifold brieskorn237 --r 3", lambda: tau_for("brieskorn_2_3_7", 3)),
+        ("tau --manifold s3 --r 2", lambda: tau_for("s3", 2)),
+        ("tau --manifold s3 --r 3317044064679887385961981",
+         lambda: tau_for("s3", 3317044064679887385961981)),
+        ("discriminant --manifold poincare --primes 9,3",
+         lambda: period_discriminant("poincare", [9, 3])),
+        ("discriminant --manifold poincare --primes 7,3317044064679887385961981",
+         lambda: period_discriminant("poincare", [7, 3317044064679887385961981])),
+        ("gauss --type A --rank 2 --r 9", lambda: gauss_sum(build_root_system("A", 2), 9)),
+        ("gauss --type A --rank 1 --r 2", lambda: gauss_sum(build_root_system("A", 1), 2)),
+        ("gauss --type A --rank 2 --r 9", lambda: kernel_size(build_root_system("A", 2), 9)),
+        ("tau --manifold s3 --r 5 --depth 4", lambda: ohtsuki_digits(ONE, 4)),
+        ("murasugi --braid 'strands 2 : 1' --p 4", lambda: murasugi_check(B, 4)),
+        ("murasugi --braid 'strands 2 : 1' --p 2", lambda: murasugi_check(B, 2)),
+        ("yokota --braid 'strands 2 : 1 1 1' --p 9", lambda: yokota_check_braid(B, 9)),
+        ("yokota --braid 'strands 2 : 1 1 1' --p 2", lambda: yokota_check_braid(B, 2)),
+        ("murasugi --braid 'strands 2 : 1' --p -3", lambda: p2_check(B, -3)),
+        ("yokota --braid 'strands 2 : 1 1 1' --p 9", lambda: quotient_congruence_test(ONE, ONE, 9, 5)),
+        ("murasugi --braid 'strands x' --p 3", lambda: parse_braid("strands x")),
+        ("jones --braid 'strands 2 : 3'", lambda: parse_braid("strands 2 : 3")),
+        ("obstruct --manifold poincare --r 7 --type E --rank 6", lambda: build_root_system("E", 6)),
+    ],
+)
+def test_library_refuses_with_the_cli_words(case, call) -> None:
+    # the golden entry's last stderr line is "stderr qperiod <cmd>: error: <message>"
+    entry = golden_entries()[command_line(shlex.split(case))]
+    message = entry.splitlines()[2].split(": error: ", 1)[1]
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_pd_errors_are_not_refusals() -> None:
+    # a malformed PD file is a computation error (exit 1), a diagram over
+    # the width cap a refusal (exit 2)
+    assert issubclass(WidthLimitError, InputError)
+    with pytest.raises(ValueError) as info:
+        parse_pd("X(1,2,2,1)\n")
+    assert not isinstance(info.value, InputError)
 
 
 # ---------------------------------------------------------------------------

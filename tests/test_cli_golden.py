@@ -50,6 +50,8 @@ CASES = [
     "tau --manifold s3 --r 5 --depth 4",
     "tau --manifold poincare --r 7 --depth -1",
     "tau --manifold poincare",
+    # two bad arguments: the first in the order checked is the one reported
+    "tau --manifold poincare --r 6 --depth 9",
     # psi_12, a strong pseudoprime to the bases 2..37, and psi_13, where
     # is_prime stops deciding
     "tau --manifold s3 --r 318665857834031151167461",
@@ -67,6 +69,7 @@ CASES = [
     "obstruct --manifold s3 --r 2",
     "obstruct --manifold poincare --r 7 --type E --rank 6",
     "obstruct --manifold poincare --r 7 --type A --rank 0",
+    "obstruct --manifold poincare --r 9 --type E --rank 6",
     # discriminant
     "discriminant --manifold poincare --primes 7,11,13,17",
     "discriminant --manifold poincare --primes 7,11,13,17 --json",
@@ -80,6 +83,7 @@ CASES = [
     "discriminant --manifold poincare --primes ,",
     "discriminant --manifold poincare --primes=",
     "discriminant --manifold poincare --primes 7,3317044064679887385961981",
+    "discriminant --manifold poincare --primes 9,3",
     # ohtsuki
     "ohtsuki --manifold poincare --r 7",
     "ohtsuki --manifold poincare --r 7 --json",
@@ -112,6 +116,7 @@ CASES = [
     "murasugi --braid 'strands 2 : 1' --p 2",
     "murasugi --braid 'strands 2 : 1' --p -3",
     "murasugi --braid 'strands x' --p 3",
+    "murasugi --braid 'strands x' --p 4",
     "murasugi --p 3",
     "murasugi --braid 'strands 12 : 1 -2 3 -4 5 -6 7 -8 9 -10 11 1 -2 3 -4 5 -6 7 -8 9 -10 11' --p 7",
     # yokota
@@ -124,6 +129,7 @@ CASES = [
     "yokota --braid 'strands 2 : 1 1 1' --p 2",
     "yokota --p 3",
     "yokota --pd {pd}/absent.pd --p 3",
+    "yokota --pd {pd}/absent.pd --p 4",
     "yokota --pd {pd}/long.pd --p 3",
     "yokota --braid 'strands 2 : 1 1 1' --p 318665857834031151167461",
     "yokota --braid 'strands 2 : 1 1 1' --p 3317044064679887385961981",
@@ -142,6 +148,9 @@ CASES = [
     "gauss --type A --rank 2 --r 7 --max-cosets 49 --json",
     "gauss --type A --r 7",
     "gauss --type A --rank 1 --r 3317044064679887385961981",
+    # r = 9 is not prime, and 9^6 cosets are over the default cap
+    "gauss --type A --rank 6 --r 9",
+    "gauss --type E --rank 6 --r 9",
     # liedata
     "liedata --type G --rank 2",
     "liedata --type G --rank 2 --json",

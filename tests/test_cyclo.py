@@ -351,6 +351,22 @@ def test_ohtsuki_digits_rejects_depth_out_of_range(depth):
         ohtsuki_digits(CyclotomicInt.one(7), depth)
 
 
+@pytest.mark.parametrize("depth", (0, 1, 3, 99))
+def test_ohtsuki_digits_divides_once_per_digit_after_the_first(monkeypatch, depth):
+    # a_0 is a coefficient sum; each later digit costs one division by 1 - xi
+    x = rand_elt(101, random.Random(depth))
+    want = ohtsuki_expansion(x).a[: depth + 1]
+    calls = []
+
+    def counted(y, m):
+        calls.append(m)
+        return divide_power_vector(y, m)
+
+    monkeypatch.setattr(cyclo_module, "divide_power_vector", counted)
+    assert ohtsuki_digits(x, depth) == want
+    assert calls == [1] * depth
+
+
 @pytest.mark.parametrize("r", (3, 5, 7, 11, 13))
 def test_integer_r_has_vanishing_digits(r):
     # every digit of the constant r vanishes, the digit-level trace of

@@ -222,7 +222,7 @@ def test_gauss_sum_a1_r7():
 
 def test_gauss_sum_validation():
     rs = build_root_system("A", 1)
-    with pytest.raises(ValueError, match="not prime"):
+    with pytest.raises(ValueError, match="r = 9 must be prime"):
         gauss_sum(rs, 9)
     with pytest.raises(ValueError, match="must exceed"):
         gauss_sum(build_root_system("B", 2), 5)  # d*h_dual = 6

@@ -3,6 +3,9 @@ module under src/, scripts/ or perfbench/ names it outside its own
 definition.  A routine that only the tests call belongs in tests/oracles.py.
 No module of the package imports a private name from another: what a
 sibling needs is public, and so checked for a use like every public name.
+The CLI holds no argument rule of its own: it names no is_prime, and it
+turns no library ValueError into a usage error by hand, since the library
+refuses with InputError and main reports that.
 
 A use is a name, an attribute, an imported name, or one part of a dotted
 string such as perfbench's "cyclo.CyclotomicInt.power"."""
@@ -84,6 +87,46 @@ def private_imports(package: dict[str, ast.Module]) -> list[str]:
                 names = [alias.name for alias in node.names]
                 found += [f"{Path(path).name}:{n}" for n in names if n.startswith("_")]
     return found
+
+
+def cli_argument_rules(tree: ast.Module) -> list[str]:
+    """'line: what' for each use of is_prime, and each except clause that
+    catches ValueError and calls some .error( in its body."""
+    found = [f"{line}: is_prime" for name, line in uses(tree) if name == "is_prime"]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(isinstance(t, ast.Name) and t.id == "ValueError" for t in caught) and any(
+                isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "error"
+                for stmt in node.body
+                for call in ast.walk(stmt)
+            ):
+                found.append(f"{node.lineno}: except ValueError -> .error(")
+    return found
+
+
+def test_cli_holds_no_argument_rule():
+    assert cli_argument_rules(ast.parse((ROOT / "src" / "qperiod" / "cli.py").read_text())) == []
+
+
+@pytest.mark.parametrize(
+    "source, verdict",
+    [
+        ("from .modular import is_prime", ["1: is_prime"]),
+        ("ok = modular.is_prime(n)", ["1: is_prime"]),
+        ("try:\n    f()\nexcept ValueError as exc:\n    sub.error(str(exc))",
+         ["3: except ValueError -> .error("]),
+        ("try:\n    f()\nexcept (KeyError, ValueError):\n    if x:\n        args.sub.error('no')",
+         ["3: except ValueError -> .error("]),
+        ("try:\n    f()\nexcept OSError as exc:\n    args.sub.error(str(exc))", []),
+        ("try:\n    f()\nexcept ValueError:\n    raise TypeError('bad')", []),
+        ("try:\n    f()\nexcept InputError as exc:\n    args.sub.error(str(exc))", []),
+    ],
+)
+def test_cli_rule_guard(source, verdict):
+    assert cli_argument_rules(ast.parse(source)) == verdict
 
 
 def test_every_public_name_has_a_use():
