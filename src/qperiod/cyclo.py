@@ -10,16 +10,21 @@ The (1 - xi)-adic expansion writes x as
 
     x = a_0 + a_1 (1 - xi) + ... + a_{r-2} (1 - xi)^{r-2} + x' (1 - xi)^{r-1}
 
-with each a_n in [0, r).  The digits are produced by alternating the
-coefficient-sum residue map (xi -> 1) with exact division by (1 - xi).
-Both are O(r) on the coordinate vector, so `ohtsuki_digits(x, depth)`
-costs O(depth * r) and the full `ohtsuki_expansion(x)` O(r^2); one
-peeling loop serves both.
+with each a_n in [0, r).  Put xi = 1 - h in the canonical coordinates:
+x = sum_i x_i (1 - h)^i is a polynomial in h of degree at most r - 2, and
+r lies in (h^(r-1)), so every digit is a binomial sum mod r,
+
+    a_n = (-1)^n sum_i x_i C(i, n)  mod r.
+
+`ohtsuki_digits(x, depth)` builds the binomials one column at a time by
+Pascal's rule, C(i, n+1) = sum_{j<i} C(j, n), on residues mod r: O(r) per
+digit and no division.  `ohtsuki_expansion(x)` keeps the peeling
+reference, which also returns the cofactor x'.
 
 One routine, `divide_power_vector`, divides exactly by 1 - xi^m for any
-m invertible mod r, in O(r) on the power basis xi^0 .. xi^(r-1): the
-peeling loop (m = 1), the unknot normaliser's root factors through
-`divide_by_one_minus_xi_power`, and the windows of `tau` all use it.
+m invertible mod r, in O(r) on the power basis xi^0 .. xi^(r-1).  Only
+the unknot normaliser's root factors, through
+`divide_by_one_minus_xi_power`, and the peeling reference use it.
 
 One re-indexing, `twist_conjugate`, gives the twisted conjugate
 xi^v conj(x) in O(r): the conjugation obstruction x = xi^v conj(x) of
@@ -30,9 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
+from operator import mul
 from typing import Iterable, Mapping
 
-from .modular import InputError, encode_int, is_prime
+from .modular import InputError, encode_int, require_prime
 
 
 class NotDivisibleError(ValueError):
@@ -42,8 +48,7 @@ class NotDivisibleError(ValueError):
 @lru_cache(maxsize=None)
 def _check_r(r: int) -> None:
     # memoised, so each ring is checked once; a call that raises is not cached
-    if r < 3 or not is_prime(r):
-        raise ValueError(f"r must be a prime >= 3, got {r}")
+    require_prime("r", r, odd=True)
 
 
 @dataclass(frozen=True)
@@ -263,24 +268,6 @@ class OhtsukiExpansion:
     remainder: CyclotomicInt
 
 
-def _peel(cur: list[int], count: int) -> list[int]:
-    """Peel count digits off the power-basis vector cur of an element of
-    Z[xi], leaving in cur the cofactor of (1 - xi)^count, top coordinate 0;
-    count exact divisions.
-
-    Each step takes the coefficient-sum residue a as the digit and divides
-    cur - a exactly by (1 - xi) with divide_power_vector.
-    """
-    r = len(cur)
-    digits = []
-    for _ in range(count):
-        an = sum(cur) % r
-        digits.append(an)
-        cur[0] -= an
-        cur[:] = divide_power_vector(cur, 1)
-    return digits
-
-
 def require_depth(depth: int, r: int) -> None:
     """Refuse a depth outside [0, r-2]: an element of Z[xi] has r - 1
     Ohtsuki digits."""
@@ -290,19 +277,32 @@ def require_depth(depth: int, r: int) -> None:
 
 def ohtsuki_digits(x: CyclotomicInt, depth: int) -> tuple[int, ...]:
     """The digits a_0 .. a_depth of the (1 - xi)-adic expansion of x, for
-    0 <= depth <= r-2, in O(depth * r): depth exact divisions, and the
-    last digit is the cofactor's coefficient-sum residue."""
+    0 <= depth <= r-2, in O(depth * r) on residues mod r:
+    a_n = (-1)^n sum_i x_i C(i, n) mod r."""
     require_depth(depth, x.r)
-    cur = [*x.coeffs, 0]
-    return (*_peel(cur, depth), sum(cur) % x.r)
+    r = x.r
+    residues = [c % r for c in x.coeffs]
+    column = [1] * (r - 1)  # C(i, n) for i = n .. r-2
+    digits = []
+    for n in range(depth + 1):
+        digits.append((-1) ** n * sum(map(mul, residues[n:], column)) % r)
+        column = [c % r for c in accumulate(column[:-1])]
+    return tuple(digits)
 
 
 def ohtsuki_expansion(x: CyclotomicInt) -> OhtsukiExpansion:
     """All r-1 digits of the (1 - xi)-adic expansion of x and the
-    remainder, in O(r^2)."""
+    remainder, in O(r^2) by peeling: each step takes the coefficient-sum
+    residue as the digit and divides the rest exactly by (1 - xi).  The
+    reference that ohtsuki_digits is tested against."""
+    r = x.r
     cur = [*x.coeffs, 0]
-    digits = _peel(cur, x.r - 1)
-    return OhtsukiExpansion(x.r, tuple(digits), CyclotomicInt(x.r, tuple(cur[:-1])))
+    digits = []
+    for _ in range(r - 1):
+        digits.append(sum(cur) % r)
+        cur[0] -= digits[-1]
+        cur = divide_power_vector(cur, 1)
+    return OhtsukiExpansion(r, tuple(digits), CyclotomicInt(r, tuple(cur[:-1])))
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,15 @@ keeps every term in Z[xi].  The series terminates: once 2n+1 >= r the
 window [n+1, 2n+1] contains a multiple of r, so W(n) = 0, and only
 n < (r-1)/2 contributes.
 
-Consecutive windows share all but three factors:
+Consecutive windows share all but three factors, and
+1 - xi^(2n) = (1 - xi^n)(1 + xi^n) cancels the one that leaves:
 
-    W(0) = 1,   W(n+1) = W(n) (1 - xi^(2n+2)) (1 - xi^(2n+3)) / (1 - xi^(n+1)).
+    W(0) = 1,   W(n) = W(n-1) (1 + xi^n) (1 - xi^(2n+1)).
 
-The sum is accumulated on plain integer vectors on the power basis
-xi^0 .. xi^(r-1), where each binomial factor is a shift and subtract, and
-the division is `cyclo.divide_power_vector`, an exact O(r) running sum
-along the single cycle of the walk i -> i + n + 1 (gcd(n+1, r) = 1).  A
-window costs O(r), so a level costs O(r^2); the total is folded into
-canonical coordinates once at the end.
+The sum is accumulated on plain integer vectors in Z[T]/(T^r - 1), where
+each binomial factor is one shift and add, so a window costs O(r), a
+level O(r^2) and no step divides; the total is folded into canonical
+coordinates once at the end.
 
 The rest reads only the low Ohtsuki digits, which cost O(r) each: a
 coefficient table to depth d is O(d * r), so the `tau` and `obstruct`
@@ -45,14 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial, prod
 
-from .cyclo import (
-    CyclotomicInt,
-    cyclo_to_json,
-    divide_by_one_minus_xi_power,
-    divide_power_vector,
-    make,
-    ohtsuki_digits,
-)
+from .cyclo import CyclotomicInt, cyclo_to_json, make, ohtsuki_digits
 from .liedata import RootSystem, admissible_r, build_root_system
 from .modular import InputError, encode_int, factorize, is_prime_argument, require_prime
 from .qpoly import HalfLaurent
@@ -89,9 +81,9 @@ def require_manifold_level(manifold_id: str, r: int) -> None:
         raise InputError(f"r = {r} must exceed d*h_dual = 4 for sl2")
 
 
-def _shift_subtract(w: list[int], k: int) -> list[int]:
-    """w * (1 - T^k) in Z[T]/(T^r - 1), for 0 < k < r."""
-    return [a - b for a, b in zip(w, w[-k:] + w[:-k])]
+def _times_binomial(w: list[int], sign: int, k: int) -> list[int]:
+    """w * (1 + sign * T^k) in Z[T]/(T^r - 1), for 0 < k < r."""
+    return [a + sign * b for a, b in zip(w, w[-k:] + w[:-k])]
 
 
 def _tau_sum(r: int, front_exponent) -> CyclotomicInt:
@@ -99,9 +91,7 @@ def _tau_sum(r: int, front_exponent) -> CyclotomicInt:
     window = [1] + [0] * (r - 1)
     for n in range((r - 1) // 2):
         if n:
-            window = _shift_subtract(window, 2 * n)
-            window = _shift_subtract(window, 2 * n + 1)
-            window = divide_power_vector(window, n)
+            window = _times_binomial(_times_binomial(window, 1, n), -1, 2 * n + 1)
         s = front_exponent(n) % r
         total = [a + b for a, b in zip(total, window[-s:] + window[:-s])]
     return make(r, enumerate(total))
@@ -146,7 +136,7 @@ def coeff_table(x: CyclotomicInt, depth: int) -> tuple[tuple[int, int], ...]:
 
 def _self_twists(x: CyclotomicInt, head: tuple[int, ...]) -> tuple[int, ...]:
     """Every v in [0, r) with x = xi^v conj(x) mod r, in increasing order,
-    given the leading Ohtsuki digits head = (a_0, a_1, ...) of x.
+    given the leading Ohtsuki digits head = (a_0, .., a_d) of x.
 
     Modulo r, Z[xi] is F_r[h] / (h^(r-1)) with h = 1 - xi, the digits are
     the coefficients in h, and conjugation sends h to -h / (1 - h).  If a_k
@@ -158,26 +148,21 @@ def _self_twists(x: CyclotomicInt, head: tuple[int, ...]) -> tuple[int, ...]:
     x_((v - j) mod r), and the congruence is equality of the two residue
     vectors: at j = v + 1 it forces the twist's top coordinate, which is
     subtracted off in canonical coordinates, to vanish mod r (r is odd).
-    x = 0 mod r admits every v.  The cost is O(r) when a_0 != 0, as for
-    every invariant, and O(r) more per zero digit before a_k.
+    k and a_(k+1) are read from head, or from the full digit table when
+    a_0 .. a_(d-1) all vanish; no invariant needs it, since a_0 = c_0 = 1.
+    x = 0 mod r, every digit 0, admits every v.  The cost is O(r), and
+    O(r^2) with the full table.
     """
     r = x.r
-    pv = [c % r for c in x.coeffs] + [0]
-    if not any(pv):
+    if not any(head[:-1]):
+        head = ohtsuki_digits(x, r - 2)
+    k = next((n for n, a in enumerate(head) if a), None)
+    if k is None:
         return tuple(range(r))
-    k, a = 0, head
-    while not a[0]:
-        # a_k = 0, so 1 - xi divides x = x_0 / (1 - xi)^k exactly, and the
-        # quotient's digits are a_(k+1), a_(k+2), ..., the first of them its
-        # coefficient-sum residue
-        x = divide_by_one_minus_xi_power(x, 1)
-        k += 1
-        a = (sum(x.coeffs) % r,)
     if k % 2:
         return ()
-    if len(a) < 2:
-        a = ohtsuki_digits(x, 1)
-    v = (k - 2 * a[1] * pow(a[0], -1, r)) % r
+    v = (k - 2 * head[k + 1] * pow(head[k], -1, r)) % r
+    pv = [c % r for c in x.coeffs] + [0]
     return (v,) if pv[v::-1] + pv[:v:-1] == pv else ()
 
 

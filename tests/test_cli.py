@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qperiod import cli, liedata, tau
+from qperiod import cli, cyclo, liedata, tau
 from qperiod.cli import GAUSS_MAX_COSETS, main
 from qperiod.cyclo import CyclotomicInt, cyclo_to_json, ohtsuki_digits
 from qperiod.liedata import build_root_system, gauss_report, gauss_sum, kernel_size
@@ -476,6 +476,29 @@ def test_liedata_bad_rank_is_usage_error(capsys) -> None:
     code, _, err = run_cli(capsys, ["liedata", "--type", "D", "--rank", "3"])
     assert code == 2
     assert "unsupported root system D3" in err
+
+
+# ---------------------------------------------------------------------------
+# the manifold path: windows, digits and twists without exact division
+
+
+@pytest.mark.parametrize("manifold", sorted(cli.MANIFOLD_IDS))
+def test_manifold_commands_divide_nothing(capsys, monkeypatch, manifold) -> None:
+    def division(*args):
+        raise AssertionError("the manifold path divided exactly")
+
+    for name, module in list(sys.modules.items()):
+        if name == "qperiod" or name.startswith("qperiod."):
+            for routine in ("divide_power_vector", "divide_by_one_minus_xi_power"):
+                if routine in vars(module):
+                    monkeypatch.setattr(module, routine, division)
+    with pytest.raises(AssertionError, match="divided"):
+        cyclo.ohtsuki_expansion(CyclotomicInt.one(5))  # the patch is live
+    for r in ("5", "7", "59"):
+        for argv in (["tau", "--r", r], ["obstruct", "--r", r], ["ohtsuki", "--r", r],
+                     ["discriminant", "--primes", r]):
+            code, _, err = run_cli(capsys, [*argv, "--manifold", manifold])
+            assert code == 0, (argv, err)
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qperiod.cyclo as cyclo_module
+import qperiod.modular as modular
 from oracles import (
     binomial_expansion_identity,
     complex_eval,
@@ -73,13 +74,13 @@ def test_invalid_r_rejected():
 
 def test_each_ring_is_checked_once(monkeypatch):
     calls = []
-    real_is_prime = cyclo_module.is_prime
+    real_is_prime = modular.is_prime
 
     def counting_is_prime(n):
         calls.append(n)
         return real_is_prime(n)
 
-    monkeypatch.setattr(cyclo_module, "is_prime", counting_is_prime)
+    monkeypatch.setattr(modular, "is_prime", counting_is_prime)
     cyclo_module._check_r.cache_clear()
     for _ in range(3):
         assert epsilon_residue(one_minus_xi(101) * one_minus_xi(101)) == 0
@@ -326,6 +327,11 @@ def test_expansion_digits_well_defined_mod_r(r):
         assert ohtsuki_expansion(x).a == ohtsuki_expansion(x + z * r).a
 
 
+def wide_coeffs(r: int) -> list[int]:
+    rng = random.Random(r)
+    return [rng.randint(-(10**30), 10**30) for _ in range(r - 1)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from([p for p in range(3, 62) if is_prime(p)]).flatmap(
@@ -336,8 +342,10 @@ def test_expansion_digits_well_defined_mod_r(r):
         )
     )
 )
+@example((101, wide_coeffs(101)))
+@example((211, wide_coeffs(211)))
 def test_ohtsuki_digits_match_full_expansion(data):
-    # the truncated peel agrees with the full expansion at every depth
+    # the binomial digits agree with the peeled expansion at every depth
     r, coeffs = data
     x = CyclotomicInt(r, tuple(coeffs))
     full = ohtsuki_expansion(x).a
@@ -352,8 +360,8 @@ def test_ohtsuki_digits_rejects_depth_out_of_range(depth):
 
 
 @pytest.mark.parametrize("depth", (0, 1, 3, 99))
-def test_ohtsuki_digits_divides_once_per_digit_after_the_first(monkeypatch, depth):
-    # a_0 is a coefficient sum; each later digit costs one division by 1 - xi
+def test_ohtsuki_digits_makes_no_division(monkeypatch, depth):
+    # every digit is a binomial sum mod r, so no digit divides by 1 - xi
     x = rand_elt(101, random.Random(depth))
     want = ohtsuki_expansion(x).a[: depth + 1]
     calls = []
@@ -364,7 +372,7 @@ def test_ohtsuki_digits_divides_once_per_digit_after_the_first(monkeypatch, dept
 
     monkeypatch.setattr(cyclo_module, "divide_power_vector", counted)
     assert ohtsuki_digits(x, depth) == want
-    assert calls == [1] * depth
+    assert calls == []
 
 
 @pytest.mark.parametrize("r", (3, 5, 7, 11, 13))

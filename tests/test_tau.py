@@ -281,11 +281,14 @@ def test_twist_conjugate_matches_product_reference(data) -> None:
         )
     )
 )
+@example((101, [(-1) ** i * i for i in range(100)], 17, [i % 7 - 3 for i in range(100)], 4, False))
+@example((101, [i * i % 23 - 11 for i in range(100)], 90, [0] * 100, 6, False))
 def test_obstruction_search_matches_brute_force_on_symmetric_elements(data) -> None:
     # x = y + xi^v conj(y) + r z admits v and possibly more twists.  Since
     # conj(1 - xi) = -xi^-1 (1 - xi), x (1 - xi)^j admits v + j for even j;
     # j sweeps the (1 - xi)-adic valuation through odd and even values, and
-    # j = r - 1 or dropping y makes the element 0 mod r.  The search must
+    # j = r - 1 or dropping y makes the element 0 mod r; j >= 4 zeroes
+    # a_0 .. a_3, so the search reads the full digit table.  The search must
     # find exactly the twists the reference products admit
     r, y_coeffs, v, z_coeffs, j, zero = data
     y = CyclotomicInt.zero(r) if zero else CyclotomicInt(r, tuple(y_coeffs))
