@@ -23,12 +23,12 @@ reference, which also returns the cofactor x'.
 
 One routine, `divide_power_vector`, divides exactly by 1 - xi^m for any
 m invertible mod r, in O(r) on the power basis xi^0 .. xi^(r-1).  Only
-the unknot normaliser's root factors, through
-`divide_by_one_minus_xi_power`, and the peeling reference use it.
+the peeling reference uses it.
 
 One re-indexing, `twist_conjugate`, gives the twisted conjugate
 xi^v conj(x) in O(r): the conjugation obstruction x = xi^v conj(x) of
-`tau` and the ratio law F = +-xi^(-E) conj F of `liedata` both read it.
+`tau` and the ratio law gamma = +-(-1)^N xi^(S-E) conj(gamma) of
+`liedata` both read it.
 """
 from __future__ import annotations
 
@@ -247,12 +247,6 @@ def divide_power_vector(y: list[int], m: int) -> list[int]:
     if q[r - 1] != 0:
         raise AssertionError("division bookkeeping failed")  # unreachable
     return q
-
-
-def divide_by_one_minus_xi_power(x: CyclotomicInt, e: int) -> CyclotomicInt:
-    """Exact quotient x / (1 - xi^e) for e invertible mod r, as
-    divide_power_vector."""
-    return CyclotomicInt(x.r, tuple(divide_power_vector([*x.coeffs, 0], e)[:-1]))
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,9 @@ positive roots then have nonnegative integer coordinates, and so does
 
 Everything is integer arithmetic.  The constants come from root heights,
 the pairings (beta|rho) and the cofactors of the Cartan matrix.  The
-unknot normaliser F = gamma / prod(1 - xi^(beta|rho)) is one chain of
-exact divisions in Z[xi]; its mirror F(-), the same quotient with every
-exponent negated, is conj F, so the ratio law F = +-xi^(-E) conj F is
-one re-indexing by `cyclo.twist_conjugate`.
+unknot normaliser F = gamma / prod(1 - xi^(beta|rho)) is never computed:
+its ratio law F = +-xi^(-E) conj F is decided on gamma itself, by one
+re-indexing with `cyclo.twist_conjugate` and no division.
 """
 from __future__ import annotations
 
@@ -22,14 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 
-from .cyclo import (
-    CyclotomicInt,
-    NotDivisibleError,
-    cyclo_to_json,
-    divide_by_one_minus_xi_power,
-    make,
-    twist_conjugate,
-)
+from .cyclo import CyclotomicInt, cyclo_to_json, make, twist_conjugate
 from .modular import InputError, is_prime, require_prime
 
 RANK_CAPS = {"A": (1, 6), "B": (2, 5), "C": (2, 5), "D": (4, 5), "F": (4, 4), "G": (2, 2)}
@@ -237,76 +229,41 @@ def gauss_sum(rs: RootSystem, r: int) -> CyclotomicInt:
     return make(r, enumerate(counts))
 
 
-def kernel_size(rs: RootSystem, r: int) -> int:
-    """r^(l - rank of the Gram matrix over the r-element field)."""
-    require_prime("r", r)
-    l = rs.rank
-    m = [[rs.d[i] * rs.cartan[i][j] % r for j in range(l)] for i in range(l)]
-    rank = 0
-    row = 0
-    for col in range(l):
-        pivot = next((k for k in range(row, l) if m[k][col]), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], -1, r)
-        m[row] = [x * inv % r for x in m[row]]
-        for k in range(l):
-            if k != row and m[k][col]:
-                f = m[k][col]
-                m[k] = [(x - f * y) % r for x, y in zip(m[k], m[row])]
-        rank += 1
-        row += 1
-    return r ** (l - rank)
-
-
-def f_unknot(rs: RootSystem, r: int) -> CyclotomicInt:
-    """Unknot normalization value, exactly: gamma over
-    prod(1 - xi^(beta|rho)) over the positive roots beta.  The quotient
-    always lies in Z[xi].  Its mirror, conj(gamma) over
-    prod(1 - xi^-(beta|rho)), is its complex conjugate.
-
-    Each factor 1 - xi^(beta|rho) costs one exact O(r) division, so the
-    quotient is a chain of |Phi+| of them.  The chain cannot fail: for
-    prime r > d*h_dual the Gram form is nondegenerate mod r, so gamma
-    times its conjugate is r^l and gamma has (1 - xi)-adic valuation
-    l(r-1)/2, at least |Phi+| = l*h/2 because r > h."""
-    require_level(rs, r)
-    quotient = gauss_sum(rs, r)
-    for beta in rs.positive_roots:
-        try:
-            quotient = divide_by_one_minus_xi_power(quotient, rs.rho_pairing(beta))
-        except NotDivisibleError as exc:
-            raise AssertionError("unknot normalization left Z[xi]") from exc  # unreachable
-    return quotient
-
-
 def verify_gauss_magnitude(rs: RootSystem, r: int) -> bool:
     """The magnitude law |gamma|^2 = r^l as the identity
     gamma * conj(gamma) = r^l in Z[xi].
 
     For prime r > d*h_dual the Gram form is nondegenerate mod r, so
-    kernel_size is 1 and gamma never vanishes."""
+    gamma never vanishes."""
     gamma = gauss_sum(rs, r)
     return gamma * gamma.conjugate() == CyclotomicInt.from_int(r, r**rs.rank)
 
 
 def verify_ratio(rs: RootSystem, r: int) -> tuple[bool, int]:
     """The ratio law F(+) = omega * xi^(-E) * F(-) in Z[xi], with
-    F(-) = conj F(+), E = ((r+1)^2+2)|rho|^2 and omega = +-1.
+    F(+) = gamma / D, D = prod(1 - xi^(beta|rho)) over the N positive
+    roots beta, F(-) = conj F(+), E = ((r+1)^2+2)|rho|^2 and omega = +-1.
 
     Returns (True, omega) when one sign makes it an identity and
     (False, 0) when neither does.  With |rho|^2 = (2rho|2rho)/4, E is
-    ((r+1)^2+2)(2rho|2rho)/4.  xi^(-E) conj F is the twisted conjugate,
-    a re-indexing."""
+    ((r+1)^2+2)(2rho|2rho)/4.  Each factor has
+    1 - xi^-e = -xi^-e (1 - xi^e), so conj D = (-1)^N xi^(-S) D with
+    S = sum (beta|rho) = (2rho|2rho)/2, and the law reads
+    gamma / D = omega (-1)^N xi^(S-E) conj(gamma) / D.  D is nonzero and
+    Z[xi] is a domain, so multiplying by D is exact both ways: the law
+    holds exactly when gamma = omega (-1)^N xi^(S-E) conj(gamma), a
+    twisted conjugate of gamma with no division."""
     require_level(rs, r)
+    norm = rs.bilinear(rs.two_rho, rs.two_rho)
     # r is odd, so (r+1)^2 + 2 = 2 mod 4; (2rho|2rho) is an even lattice norm
-    exponent = ((r + 1) ** 2 + 2) * rs.bilinear(rs.two_rho, rs.two_rho) // 4
-    f = f_unknot(rs, r)
-    target = twist_conjugate(f, -exponent)
-    if f == target:
+    exponent = ((r + 1) ** 2 + 2) * norm // 4
+    gamma = gauss_sum(rs, r)
+    target = twist_conjugate(gamma, norm // 2 - exponent)
+    if len(rs.positive_roots) % 2:
+        target = -target
+    if gamma == target:
         return True, 1
-    if f == -target:
+    if gamma == -target:
         return True, -1
     return False, 0
 
@@ -354,7 +311,9 @@ def gauss_report(rs: RootSystem, r: int) -> GaussReport:
         rank=rs.rank,
         r=r,
         gamma=gamma,
-        ker_size=kernel_size(rs, r),
+        # gauss_sum admitted r > d*h_dual, which exceeds every prime factor
+        # (at most 7) of the Gram determinant prod(d_i) det A: no kernel
+        ker_size=1,
         group_size=r**rs.rank,
         magnitude_ok=verify_gauss_magnitude(rs, r),
         ratio_ok=ratio_ok,

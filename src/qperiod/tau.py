@@ -270,10 +270,11 @@ def discriminant_integers(manifold_id: str) -> tuple[tuple[int, ...], int, int]:
         head = HalfLaurent.one()
     elif manifold_id in FRONT_EXPONENTS:
         head = HalfLaurent.zero()
+        window = HalfLaurent.one()
         for n in range(4):
-            window = HalfLaurent.from_dict({2 * j: 1 for j in range(n + 1)})
-            for k in range(n + 2, 2 * n + 2):
-                window = window * (1 - HalfLaurent.monomial(2 * k))
+            if n:  # the recurrence of _tau_sum: W(n) = W(n-1)(1 + q^n)(1 - q^(2n+1))
+                window = window * (HalfLaurent.monomial(2 * n) + 1)
+                window = window * (1 - HalfLaurent.monomial(4 * n + 2))
             head = head + HalfLaurent.monomial(2 * FRONT_EXPONENTS[manifold_id](n)) * window
     else:
         raise InputError(f"unknown manifold {manifold_id!r}")

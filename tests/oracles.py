@@ -8,9 +8,13 @@ route, a gcd and a division over GF(p) (`fp_gcd`, `fp_divides`), that
 product replaced,
 `divide_by_one_minus_xi` and `twisted_division` the partial-sum division
 by 1 - xi and the twist-divide-twist route to 1 - xi^e that
-`cyclo.divide_power_vector` replaced, `mirror_unknot` the chain of
-divisions by 1 - xi^-(beta|rho) that the conjugate of `liedata.f_unknot`
-replaced, `det_fraction` and `solve_linear` the rational elimination that
+`cyclo.divide_power_vector` replaced, `divide_by_one_minus_xi_power` that
+division on canonical coordinates, `f_unknot` and `mirror_unknot` the
+chains of divisions by 1 - xi^(beta|rho) and by 1 - xi^-(beta|rho) that
+the twisted conjugate of gamma in `liedata.verify_ratio` replaced,
+`kernel_size` the Gram elimination mod r that `liedata.gauss_report`
+replaced by the constant 1 at every level it admits,
+`det_fraction` and `solve_linear` the rational elimination that
 the integer cofactors of `liedata.constants` replaced,
 `level_discriminant_row` the per-level route through tau in Z[xi] that
 the integers of `tau.discriminant_integers` replaced,
@@ -36,7 +40,7 @@ from qperiod.cyclo import (
     CyclotomicInt,
     NotDivisibleError,
     OhtsukiExpansion,
-    divide_by_one_minus_xi_power,
+    divide_power_vector,
     make,
     ohtsuki_digits,
     twist_conjugate,
@@ -174,6 +178,24 @@ def twisted_division(x: CyclotomicInt, e: int) -> CyclotomicInt:
     return divide_by_one_minus_xi(x.galois(pow(e, -1, x.r))).galois(e)
 
 
+def divide_by_one_minus_xi_power(x: CyclotomicInt, e: int) -> CyclotomicInt:
+    """Exact quotient x / (1 - xi^e) for e invertible mod r, as
+    cyclo.divide_power_vector."""
+    return CyclotomicInt(x.r, tuple(divide_power_vector([*x.coeffs, 0], e)[:-1]))
+
+
+def f_unknot(rs: RootSystem, r: int) -> CyclotomicInt:
+    """The unknot normaliser gamma over prod(1 - xi^(beta|rho)) over the
+    positive roots beta, one exact division per root.  The chain cannot
+    fail: for prime r > d*h_dual, gamma times its conjugate is r^l, so
+    gamma has (1 - xi)-adic valuation l(r-1)/2, at least |Phi+| = l*h/2
+    because r > h."""
+    quotient = gauss_sum(rs, r)
+    for beta in rs.positive_roots:
+        quotient = divide_by_one_minus_xi_power(quotient, rs.rho_pairing(beta))
+    return quotient
+
+
 def mirror_unknot(rs: RootSystem, r: int) -> CyclotomicInt:
     """conj(gamma) over prod(1 - xi^-(beta|rho)) over the positive roots
     beta, one exact division per root."""
@@ -181,6 +203,27 @@ def mirror_unknot(rs: RootSystem, r: int) -> CyclotomicInt:
     for beta in rs.positive_roots:
         quotient = divide_by_one_minus_xi_power(quotient, -rs.rho_pairing(beta))
     return quotient
+
+
+def kernel_size(rs: RootSystem, r: int) -> int:
+    """r^(l - rank of the Gram matrix over the r-element field), r prime,
+    by Gauss-Jordan elimination."""
+    l = rs.rank
+    m = [[rs.d[i] * rs.cartan[i][j] % r for j in range(l)] for i in range(l)]
+    rank = 0
+    for col in range(l):
+        pivot = next((k for k in range(rank, l) if m[k][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][col], -1, r)
+        m[rank] = [x * inv % r for x in m[rank]]
+        for k in range(l):
+            if k != rank and m[k][col]:
+                f = m[k][col]
+                m[k] = [(x - f * y) % r for x, y in zip(m[k], m[rank])]
+        rank += 1
+    return r ** (l - rank)
 
 
 def det_fraction(rows: list[list[Fraction]]) -> Fraction:

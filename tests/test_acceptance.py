@@ -6,9 +6,15 @@ import json
 import random
 import time
 
-from oracles import binomial_expansion_identity, complex_eval, reconstruct, remark_identity_check
+from oracles import (
+    binomial_expansion_identity,
+    complex_eval,
+    kernel_size,
+    reconstruct,
+    remark_identity_check,
+)
 from qperiod.cyclo import CyclotomicInt, cyclo_to_json, make, ohtsuki_expansion, twist_conjugate
-from qperiod.liedata import build_root_system, gauss_sum, kernel_size, verify_ratio
+from qperiod.liedata import build_root_system, gauss_sum, verify_ratio
 from qperiod.linkdiag import (
     BraidWord,
     jones_of_braid,

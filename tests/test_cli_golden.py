@@ -141,6 +141,10 @@ CASES = [
     "gauss --type B --rank 2 --r 11",
     "gauss --type A --rank 1 --r 2",
     "gauss --type C --rank 2 --r 7",
+    "gauss --type A --rank 3 --r 7",
+    "gauss --type B --rank 3 --r 13 --json",
+    "gauss --type C --rank 3 --r 11",
+    "gauss --type D --rank 4 --r 7 --json",
     "gauss --type A --rank 2 --r 9",
     "gauss --type E --rank 6 --r 53",
     "gauss --type A --rank 6 --r 53",

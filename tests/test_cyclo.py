@@ -14,6 +14,7 @@ from oracles import (
     binomial_expansion_identity,
     complex_eval,
     divide_by_one_minus_xi,
+    divide_by_one_minus_xi_power,
     divisible_by,
     epsilon_residue,
     ideal_member,
@@ -26,7 +27,6 @@ from qperiod.cyclo import (
     CyclotomicInt,
     NotDivisibleError,
     cyclo_to_json,
-    divide_by_one_minus_xi_power,
     divide_power_vector,
     make,
     ohtsuki_digits,

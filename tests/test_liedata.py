@@ -12,27 +12,29 @@ from math import lcm
 
 import pytest
 
+import oracles
 import qperiod.liedata as liedata_module
 from oracles import (
     complex_eval,
     det_fraction,
     divide_by_one_minus_xi,
+    f_unknot,
+    kernel_size,
     mirror_unknot,
     one_minus_xi,
     pairing,
     solve_linear,
 )
-from qperiod.cyclo import CyclotomicInt, make
+from qperiod.cyclo import CyclotomicInt, make, twist_conjugate
 from qperiod.liedata import (
     RANK_CAPS,
     GaussReport,
     admissible_r,
     build_root_system,
     constants,
-    f_unknot,
     gauss_report,
     gauss_sum,
-    kernel_size,
+    require_level,
     verify_gauss_magnitude,
     verify_ratio,
 )
@@ -237,6 +239,23 @@ def test_kernel_sizes():
     assert kernel_size(a2, 5) == 1
 
 
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_no_kernel_at_any_admitted_level(monkeypatch, family, rank):
+    # r > d*h_dual exceeds every prime factor of the Gram determinant, so
+    # the report's constant ker = 1 is the elimination's answer
+    rs = build_root_system(family, rank)
+    admitted = levels(family, rank, 499**rank)  # every prime level below 500
+    assert admitted and all(kernel_size(rs, r) == 1 for r in admitted)
+    # only the kernel is read: a stub sum that keeps the level check
+    # spares the r^l cosets at the smallest level
+    def stub(rs, r):
+        require_level(rs, r)
+        return CyclotomicInt.one(r)
+
+    monkeypatch.setattr(liedata_module, "gauss_sum", stub)
+    assert gauss_report(rs, admitted[0]).ker_size == 1
+
+
 @pytest.mark.parametrize("family,rank", [("A", 1), ("A", 2)])
 @pytest.mark.parametrize("r", [5, 7, 11, 13])
 def test_gauss_magnitude_grid(family, rank, r):
@@ -425,7 +444,7 @@ def test_magnitude_law_fails_on_a_wrong_gauss_sum(monkeypatch):
 
 
 def test_gauss_report_sums_three_times(monkeypatch):
-    # the report's gamma, the magnitude law's and the one F of the ratio law
+    # the report's gamma, the magnitude law's and the ratio law's
     rs = build_root_system("A", 2)
     calls = []
 
@@ -439,8 +458,8 @@ def test_gauss_report_sums_three_times(monkeypatch):
 
 
 def test_ratio_law_fails_on_a_twisted_gauss_sum(monkeypatch):
-    # xi * gamma keeps |gamma| and its divisibility by every 1 - xi^e, so
-    # f_unknot still succeeds, but the ratio picks up a factor xi^2
+    # xi * gamma keeps |gamma|, but its twisted conjugate picks up xi^-1,
+    # so the two sides of the ratio law differ by a factor xi^2
     rs = build_root_system("A", 2)
     exact = gauss_sum
     assert verify_ratio(rs, 7)[0] is True
@@ -449,6 +468,55 @@ def test_ratio_law_fails_on_a_twisted_gauss_sum(monkeypatch):
     )
     assert verify_gauss_magnitude(rs, 7)
     assert verify_ratio(rs, 7) == (False, 0)
+
+
+def chain_verdict(rs, r: int) -> tuple[bool, int]:
+    """The ratio law by the division chain that the rule on gamma
+    replaced: F from f_unknot, then F = +-xi^(-E) conj F."""
+    f = f_unknot(rs, r)
+    exponent = ((r + 1) ** 2 + 2) * rs.bilinear(rs.two_rho, rs.two_rho) // 4
+    target = twist_conjugate(f, -exponent)
+    if f == target:
+        return True, 1
+    if f == -target:
+        return True, -1
+    return False, 0
+
+
+def feed_gauss_sum(monkeypatch, gamma: CyclotomicInt) -> None:
+    """Make verify_ratio and the oracle chain both read gamma."""
+    for module in (liedata_module, oracles):
+        monkeypatch.setattr(module, "gauss_sum", lambda rs, r: gamma)
+
+
+@pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
+def test_ratio_rule_matches_the_division_chain(monkeypatch, family, rank):
+    # every prime level with r^l <= 20,000, but A1 stops at r < 5000: its
+    # 2,261 levels below 20,000 cost about a minute of Gauss sums (Python
+    # 3.11, shared 2-CPU Xeon)
+    rs = build_root_system(family, rank)
+    for r in levels(family, rank, 5000 if rank == 1 else 20000):
+        feed_gauss_sum(monkeypatch, gauss_sum(rs, r))
+        verdict = verify_ratio(rs, r)
+        assert verdict[0] is True, r
+        assert verdict == chain_verdict(rs, r), r
+
+
+@pytest.mark.parametrize("family,rank,r", ADMISSIBLE_SWEEP)
+def test_ratio_rule_matches_the_chain_on_perturbed_sums(monkeypatch, family, rank, r):
+    # +-xi^k gamma and conj gamma keep the chain exact; only k = 0 keeps
+    # the law, and the rule must agree with the chain on every verdict
+    rs = build_root_system(family, rank)
+    gamma = gauss_sum(rs, r)
+    perturbed = [
+        sign * CyclotomicInt.power(r, k) * gamma for sign in (1, -1) for k in (0, 1, 2, r - 1)
+    ]
+    verdicts = []
+    for fake in (*perturbed, gamma.conjugate()):
+        feed_gauss_sum(monkeypatch, fake)
+        verdicts.append(verify_ratio(rs, r))
+        assert verdicts[-1] == chain_verdict(rs, r)
+    assert [ok for ok, _ in verdicts[:8]] == [True, False, False, False] * 2
 
 
 def test_ratio_rejects_small_r():
