@@ -52,9 +52,9 @@ from .tau import coeff_table, obstruction_test, period_discriminant, require_man
 
 MANIFOLD_IDS = {"poincare": "poincare", "brieskorn237": "brieskorn_2_3_7", "s3": "s3"}
 
-# a gauss report sums all r^rank cosets three times, about 22 us per coset
-# in all with Python 3.11 on one Xeon core, so the default allows some 4.5 s
-# of work
+# a gauss report sums all r^rank cosets three times, about 5.5 to 7 us per
+# coset in all with Python 3.11 on one core of a shared Xeon, so the default
+# allows some 1.1 to 1.4 s of work
 GAUSS_MAX_COSETS = 200_000
 
 # what a row's function returns: the JSON report, and its text lines,

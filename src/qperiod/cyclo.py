@@ -51,7 +51,7 @@ def _check_r(r: int) -> None:
     require_prime("r", r, odd=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CyclotomicInt:
     """An element of Z[xi] in canonical coordinates.
 

@@ -10,6 +10,13 @@ positive roots then have nonnegative integer coordinates, and so does
 
 Everything is integer arithmetic.  The constants come from root heights,
 the pairings (beta|rho) and the cofactors of the Cartan matrix.  The
+Gauss sum's exponent at a coset mu is
+
+    (mu|mu)/2 + (mu|rho) = sum_i mu_i (d_i (mu_i + 1) + sum_(j > i) d_i a_ij mu_j),
+
+since (alpha_i|alpha_i) = 2 d_i and (alpha_i|rho) = d_i; every term is
+an integer, so no parity check is needed, and each coset costs one pass
+over the nonzero upper Cartan entries.  The
 unknot normaliser F = gamma / prod(1 - xi^(beta|rho)) is never computed:
 its ratio law F = +-xi^(-E) conj F is decided on gamma itself, by one
 re-indexing with `cyclo.twist_conjugate` and no division.
@@ -20,8 +27,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
+from typing import ClassVar
 
-from .cyclo import CyclotomicInt, cyclo_to_json, make, twist_conjugate
+from .cyclo import CyclotomicInt, cyclo_to_json, twist_conjugate
 from .modular import InputError, is_prime, require_prime
 
 RANK_CAPS = {"A": (1, 6), "B": (2, 5), "C": (2, 5), "D": (4, 5), "F": (4, 4), "G": (2, 2)}
@@ -210,23 +218,28 @@ def require_level(rs: RootSystem, r: int) -> None:
 
 
 def gauss_sum(rs: RootSystem, r: int) -> CyclotomicInt:
-    """Sum of xi^((mu|mu)/2 + (mu|rho)) over the r^l root-lattice cosets."""
+    """Sum of xi^((mu|mu)/2 + (mu|rho)) over the r^l root-lattice cosets,
+    each exponent summed term by term over the nonzero upper Cartan
+    entries d_i a_ij, j > i, of row i (see the module docstring)."""
     require_level(rs, r)
-    l = rs.rank
-    gram = [[rs.d[i] * rs.cartan[i][j] for j in range(l)] for i in range(l)]
+    rows = [
+        (i, d, [(j, d * a) for j, a in enumerate(rs.cartan[i][i + 1:], i + 1) if a])
+        for i, d in enumerate(rs.d)
+    ]
     counts = [0] * r
-    for mu in itertools.product(range(r), repeat=l):
-        q = 0
-        for i in range(l):
-            ci = mu[i]
-            if ci:
-                row = gram[i]
-                q += ci * (ci * row[i] + 2 * sum(mu[j] * row[j] for j in range(i + 1, l)))
-        if q % 2:
-            raise RuntimeError("(mu|mu) came out odd on the root lattice")
-        e = q // 2 + rs.rho_pairing(mu)
+    for mu in itertools.product(range(r), repeat=rs.rank):
+        e = 0
+        for i, d, upper in rows:
+            c = mu[i]
+            if c:
+                e += c * (d * (c + 1) + sum(g * mu[j] for j, g in upper))
         counts[e % r] += 1
-    return make(r, enumerate(counts))
+    # the canonical coordinates are counts[i] - counts[r-1]; the counts take
+    # few distinct values, so each difference is made once and shared by
+    # the coordinates that have it, which keeps a stored report small
+    top = counts[-1]
+    coordinate = {c: c - top for c in counts}
+    return CyclotomicInt(r, tuple(coordinate[c] for c in counts[:-1]))
 
 
 def verify_gauss_magnitude(rs: RootSystem, r: int) -> bool:
@@ -276,19 +289,26 @@ def admissible_r(rs: RootSystem, r: int) -> bool:
     return r > cs.d * cs.h_dual and gcd(r, cs.det_cartan * cs.weyl_order) == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussReport:
     """Summary of the Gauss-sum checks for one (root system, r) pair."""
+
+    # gauss_report admits only r > d*h_dual, which exceeds every prime
+    # factor (at most 7) of the Gram determinant prod(d_i) det A: no kernel
+    ker_size: ClassVar[int] = 1
 
     family: str
     rank: int
     r: int
     gamma: CyclotomicInt
-    ker_size: int
-    group_size: int
     magnitude_ok: bool
     ratio_ok: bool
     omega_sign: int
+
+    @property
+    def group_size(self) -> int:
+        """r^rank, the number of root-lattice cosets."""
+        return self.r**self.rank
 
     def to_json(self) -> dict:
         return {
@@ -311,12 +331,7 @@ def gauss_report(rs: RootSystem, r: int) -> GaussReport:
         rank=rs.rank,
         r=r,
         gamma=gamma,
-        # gauss_sum admitted r > d*h_dual, which exceeds every prime factor
-        # (at most 7) of the Gram determinant prod(d_i) det A: no kernel
-        ker_size=1,
-        group_size=r**rs.rank,
         magnitude_ok=verify_gauss_magnitude(rs, r),
         ratio_ok=ratio_ok,
         omega_sign=omega,
     )
-

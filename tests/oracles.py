@@ -14,6 +14,9 @@ chains of divisions by 1 - xi^(beta|rho) and by 1 - xi^-(beta|rho) that
 the twisted conjugate of gamma in `liedata.verify_ratio` replaced,
 `kernel_size` the Gram elimination mod r that `liedata.gauss_report`
 replaced by the constant 1 at every level it admits,
+`gauss_sum_by_definition` the Gauss sum with each exponent read off the
+bilinear form and the rho pairing, which the one pass over the upper
+Cartan entries in `liedata.gauss_sum` replaced,
 `det_fraction` and `solve_linear` the rational elimination that
 the integer cofactors of `liedata.constants` replaced,
 `level_discriminant_row` the per-level route through tau in Z[xi] that
@@ -33,6 +36,7 @@ Ohtsuki expansion) state in the tests what a result must satisfy.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from fractions import Fraction
 
@@ -182,6 +186,16 @@ def divide_by_one_minus_xi_power(x: CyclotomicInt, e: int) -> CyclotomicInt:
     """Exact quotient x / (1 - xi^e) for e invertible mod r, as
     cyclo.divide_power_vector."""
     return CyclotomicInt(x.r, tuple(divide_power_vector([*x.coeffs, 0], e)[:-1]))
+
+
+def gauss_sum_by_definition(rs: RootSystem, r: int) -> CyclotomicInt:
+    """Sum of xi^((mu|mu)/2 + (mu|rho)) over the r^l root-lattice cosets,
+    with (mu|mu) from the whole Gram matrix; it is even on the root
+    lattice."""
+    return make(r, (
+        (rs.bilinear(mu, mu) // 2 + rs.rho_pairing(mu), 1)
+        for mu in itertools.product(range(r), repeat=rs.rank)
+    ))
 
 
 def f_unknot(rs: RootSystem, r: int) -> CyclotomicInt:

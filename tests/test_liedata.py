@@ -1,11 +1,12 @@
 """Root-system construction against classical tables, the exact
 Gauss-sum magnitude and ratio laws against a numeric cross-check, and
-the unknot normalization, its mirror, the integer Cartan determinant,
-weight denominator and Weyl order against the brute-force and rational
-routines they replaced."""
+the Gauss sum, the unknot normalization, its mirror, the integer Cartan
+determinant, weight denominator and Weyl order against the brute-force
+and rational routines they replaced."""
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import random
 from fractions import Fraction
 from math import lcm
@@ -19,6 +20,7 @@ from oracles import (
     det_fraction,
     divide_by_one_minus_xi,
     f_unknot,
+    gauss_sum_by_definition,
     kernel_size,
     mirror_unknot,
     one_minus_xi,
@@ -417,6 +419,14 @@ ADMISSIBLE_SWEEP = [
 ]
 
 
+# F4 adds the one double bond inside the chain rather than at its end; the
+# sweep has no level of it, since its smallest, r = 19, has 130,321 cosets
+@pytest.mark.parametrize("family,rank,r", [*ADMISSIBLE_SWEEP, ("F", 4, 19)])
+def test_gauss_sum_matches_its_definition(family, rank, r):
+    rs = build_root_system(family, rank)
+    assert gauss_sum(rs, r) == gauss_sum_by_definition(rs, r)
+
+
 @pytest.mark.parametrize("family,rank,r", ADMISSIBLE_SWEEP)
 def test_exact_laws_agree_with_numeric_cross_check(family, rank, r):
     rs = build_root_system(family, rank)
@@ -543,3 +553,17 @@ def test_gauss_report_json():
     assert obj["omega"] in (1, -1)
     assert isinstance(report, GaussReport)
     assert report.group_size == 5
+
+
+def test_gauss_reports_are_lean():
+    # a report stores its seven computed values and no instance dict; the
+    # kernel size is the class constant 1, the group size is derived, and
+    # equal coordinates of gamma share one int
+    names = [f.name for f in dataclasses.fields(GaussReport)]
+    assert names == ["family", "rank", "r", "gamma", "magnitude_ok", "ratio_ok", "omega_sign"]
+    for family, rank, r in [("A", 1, 5), ("A", 3, 13), ("B", 2, 7), ("G", 2, 13)]:
+        report = gauss_report(build_root_system(family, rank), r)
+        assert not hasattr(report, "__dict__") and not hasattr(report.gamma, "__dict__")
+        assert report.ker_size == 1 and report.group_size == r**rank
+        coeffs = report.gamma.coeffs
+        assert len({id(c) for c in coeffs}) == len(set(coeffs))
