@@ -22,8 +22,7 @@ digit and no division.  `ohtsuki_expansion(x)` keeps the peeling
 reference, which also returns the cofactor x'.
 
 One routine, `divide_power_vector`, divides exactly by 1 - xi^m for any
-m invertible mod r, in O(r) on the power basis xi^0 .. xi^(r-1).  Only
-the peeling reference uses it.
+m invertible mod r, in O(r) on the power basis xi^0 .. xi^(r-1).
 
 One re-indexing, `twist_conjugate`, gives the twisted conjugate
 xi^v conj(x) in O(r): the conjugation obstruction x = xi^v conj(x) of

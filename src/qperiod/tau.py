@@ -3,25 +3,17 @@ at prime roots of unity, Ohtsuki coefficient tables, the conjugation
 obstruction to r-periodicity, the quotient congruence for prime-fold
 branched covers, and the lift of the resulting discriminants.
 
-Both invariants are sums  sum_n xi^f(n) W(n)  with the window
+Both spheres are Brieskorn spheres Sigma(p1, p2, p3), and tau is the
+radial limit of a false theta series (Lawrence and Zagier; Hikami).  Let
+P = p1 p2 p3, M = 2P and chi(n) = e1 e2 e3 at n = P (1 + e1/p1 + e2/p2 +
+e3/p3) mod M, 0 elsewhere.  At a prime level r, with (a, b, c) from EICHLER,
 
-    W(n) = (1 + xi + ... + xi^n) * prod_{k=n+2}^{2n+1} (1 - xi^k)
-         = prod_{k=n+1}^{2n+1} (1 - xi^k) / (1 - xi),
+    xi^a (1 - xi) tau = b - S / (2Mr),
+    S = sum_{0<n<Mr} n chi(n) xi^(c + (n^2 - 1)/(2M)),
 
-where the geometric sum absorbs the global (1 - xi)^{-1} prefactor and
-keeps every term in Z[xi].  The series terminates: once 2n+1 >= r the
-window [n+1, 2n+1] contains a multiple of r, so W(n) = 0, and only
-n < (r-1)/2 contributes.
-
-Consecutive windows share all but three factors, and
-1 - xi^(2n) = (1 - xi^n)(1 + xi^n) cancels the one that leaves:
-
-    W(0) = 1,   W(n) = W(n-1) (1 + xi^n) (1 - xi^(2n+1)).
-
-The sum is accumulated on plain integer vectors in Z[T]/(T^r - 1), where
-each binomial factor is one shift and add, so a window costs O(r), a
-level O(r^2) and no step divides; the total is folded into canonical
-coordinates once at the end.
+an Eichler sum of 8r monomials with integer exponents: n^2 = 1 mod 2M
+wherever chi(n) != 0.  2Mr divides every canonical coordinate of S, an
+identity, so a remainder is a fault; one division by 1 - xi ends an O(r) level.
 
 The rest reads only the low Ohtsuki digits, which cost O(r) each: a
 coefficient table to depth d is O(d * r), so the `tau` and `obstruct`
@@ -32,19 +24,21 @@ v = k - 2 a_(k+1) / a_k (Ohtsuki), which one O(r) comparison of residue
 vectors decides.  The quotient congruence takes no polynomial gcd: its
 ideal is all of Z[xi] unless p = +-1 mod r, and (p) when it is.
 
-The discriminant reads four integers.  W(n) lies in (1 - q)^n and r in
-(1 - xi)^4, so at every prime level r >= 5 the digits a_0 .. a_3 are the
-Taylor coefficients c_0 .. c_3 at q = 1 of the terms n <= 3, reduced mod
-r.  The twist and the defect are integers too, so a level costs O(1);
-c_0 = 1, so none is dropped.  Every residue reduces the one integer
-defect, so the lift needs no Chinese remaindering.
+The discriminant reads four integers.  tau is also sum_n q^f(n) W(n) at
+q = xi, W(n) = prod_{k=n+1}^{2n+1} (1 - q^k) / (1 - q).  W(n) lies in
+(1 - q)^n and r in (1 - xi)^4, so at every prime level r >= 5 the digits
+a_0 .. a_3 are the Taylor coefficients c_0 .. c_3 at q = 1 of the terms
+n <= 3, reduced mod r.  The twist and the defect are integers too, so a
+level costs O(1); c_0 = 1, so none is dropped.  Every residue reduces
+the one integer defect, so the lift needs no Chinese remaindering.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import factorial, prod
 
-from .cyclo import CyclotomicInt, cyclo_to_json, make, ohtsuki_digits
+from .cyclo import CyclotomicInt, cyclo_to_json, divide_power_vector, make, ohtsuki_digits
 from .liedata import RootSystem, admissible_r, build_root_system
 from .modular import InputError, encode_int, factorize, is_prime_argument, require_prime
 from .qpoly import HalfLaurent
@@ -52,6 +46,8 @@ from .qpoly import HalfLaurent
 MANIFOLDS = ("poincare", "brieskorn_2_3_7", "s3")
 # the front exponent f(n) of each closed-form invariant sum_n xi^f(n) W(n)
 FRONT_EXPONENTS = {"poincare": lambda n: n, "brieskorn_2_3_7": lambda n: -n * (n + 2)}
+# (p1, p2, p3), a, b, c of each Eichler identity xi^a (1 - xi) tau = b - S / (2Mr)
+EICHLER = {"poincare": ((2, 3, 5), 1, -1, 0), "brieskorn_2_3_7": ((2, 3, 7), 0, 0, 1)}
 
 CANDIDATE_V_RULE = (
     "v = -2*a1/a0 mod r, the unique twist matching the first-order rule "
@@ -81,32 +77,37 @@ def require_manifold_level(manifold_id: str, r: int) -> None:
         raise InputError(f"r = {r} must exceed d*h_dual = 4 for sl2")
 
 
-def _times_binomial(w: list[int], sign: int, k: int) -> list[int]:
-    """w * (1 + sign * T^k) in Z[T]/(T^r - 1), for 0 < k < r."""
-    return [a + sign * b for a, b in zip(w, w[-k:] + w[:-k])]
+def _character(ps: tuple[int, ...]) -> dict[int, int]:
+    """chi(n) = e1 e2 e3 at n = P (1 + e1/p1 + e2/p2 + e3/p3) mod 2P, P = p1 p2 p3."""
+    p = prod(ps)
+    signs = product((1, -1), repeat=len(ps))
+    return {(p + sum(e * p // q for e, q in zip(es, ps))) % (2 * p): prod(es) for es in signs}
 
 
-def _tau_sum(r: int, front_exponent) -> CyclotomicInt:
-    total = [0] * r
-    window = [1] + [0] * (r - 1)
-    for n in range((r - 1) // 2):
-        if n:
-            window = _times_binomial(_times_binomial(window, 1, n), -1, 2 * n + 1)
-        s = front_exponent(n) % r
-        total = [a + b for a, b in zip(total, window[-s:] + window[:-s])]
-    return make(r, enumerate(total))
+def _eichler_tau(manifold_id: str, r: int) -> CyclotomicInt:
+    ps, a, b, c = EICHLER[manifold_id]
+    m = 2 * prod(ps)
+    y = [0] * r
+    for rho, sign in _character(ps).items():
+        for n in range(rho, m * r, m):
+            y[(c + (n * n - 1) // (2 * m)) % r] += sign * n
+    q, rems = map(list, zip(*(divmod(y[-1] - v, 2 * m * r) for v in y)))  # -S / (2Mr)
+    if any(rems):
+        raise AssertionError(f"2Mr does not divide the Eichler sum of {manifold_id} at r = {r}")
+    q[0] += b
+    return CyclotomicInt(r, tuple(divide_power_vector(q[a:] + q[:a], 1)[:-1]))  # xi^-a q / (1 - xi)
 
 
 def tau_poincare(r: int) -> TauValue:
     """Invariant of the Poincare sphere (-1 surgery on the left trefoil)."""
     require_manifold_level("poincare", r)
-    return TauValue("poincare", _tau_sum(r, FRONT_EXPONENTS["poincare"]))
+    return TauValue("poincare", _eichler_tau("poincare", r))
 
 
 def tau_brieskorn237(r: int) -> TauValue:
     """Invariant of the Brieskorn sphere Sigma(2,3,7)."""
     require_manifold_level("brieskorn_2_3_7", r)
-    return TauValue("brieskorn_2_3_7", _tau_sum(r, FRONT_EXPONENTS["brieskorn_2_3_7"]))
+    return TauValue("brieskorn_2_3_7", _eichler_tau("brieskorn_2_3_7", r))
 
 
 def tau_s3(r: int) -> TauValue:
@@ -272,7 +273,7 @@ def discriminant_integers(manifold_id: str) -> tuple[tuple[int, ...], int, int]:
         head = HalfLaurent.zero()
         window = HalfLaurent.one()
         for n in range(4):
-            if n:  # the recurrence of _tau_sum: W(n) = W(n-1)(1 + q^n)(1 - q^(2n+1))
+            if n:  # W(n) = W(n-1)(1 + q^n)(1 - q^(2n+1))
                 window = window * (HalfLaurent.monomial(2 * n) + 1)
                 window = window * (1 - HalfLaurent.monomial(4 * n + 2))
             head = head + HalfLaurent.monomial(2 * FRONT_EXPONENTS[manifold_id](n)) * window

@@ -20,7 +20,8 @@ Cartan entries in `liedata.gauss_sum` replaced,
 `det_fraction` and `solve_linear` the rational elimination that
 the integer cofactors of `liedata.constants` replaced,
 `level_discriminant_row` the per-level route through tau in Z[xi] that
-the integers of `tau.discriminant_integers` replaced,
+the integers of `tau.discriminant_integers` replaced, `window_tau_sum`
+the O(r^2) sum of windows W(n) that the Eichler sum of `tau` replaced,
 `state_sum_bracket` the one-state-at-a-time enumeration and
 `transfer_bracket` the Temperley-Lieb transfer along a braid word that
 the contraction behind `linkdiag.kauffman_bracket` and
@@ -281,11 +282,31 @@ def solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fracti
 def level_discriminant_row(manifold_id: str, r: int) -> tuple[int, int, int]:
     """(r, v, delta) from the invariant at level r: its digits a_0 .. a_3,
     the twist v = -2 a_1 / a_0 mod r and delta = a_3(x) - a_3(xi^v conj x)
-    mod r, in O(r^2) for the invariant."""
+    mod r, in O(r) for the invariant."""
     x = tau_for(manifold_id, r).value
     a0, a1, _, a3 = ohtsuki_digits(x, 3)
     v = (-2 * a1 * pow(a0, -1, r)) % r
     return r, v, (a3 - ohtsuki_digits(twist_conjugate(x, v), 3)[3]) % r
+
+
+def window_tau_sum(r: int, front_exponent) -> CyclotomicInt:
+    """sum_n xi^f(n) W(n) over n < (r-1)/2, with the windows
+    W(n) = prod_{k=n+1}^{2n+1} (1 - xi^k) / (1 - xi) built by the recurrence
+    W(0) = 1, W(n) = W(n-1) (1 + xi^n) (1 - xi^(2n+1)) as shift-and-add
+    steps on power-basis vectors: O(r) per window, O(r^2) per level.  Once
+    2n+1 >= r the window holds a multiple of r, so W(n) = 0."""
+
+    def times_binomial(w: list[int], sign: int, k: int) -> list[int]:
+        return [a + sign * b for a, b in zip(w, w[-k:] + w[:-k])]  # w * (1 + sign xi^k)
+
+    total = [0] * r
+    window = [1] + [0] * (r - 1)
+    for n in range((r - 1) // 2):
+        if n:
+            window = times_binomial(times_binomial(window, 1, n), -1, 2 * n + 1)
+        s = front_exponent(n) % r
+        total = [a + b for a, b in zip(total, window[-s:] + window[:-s])]
+    return make(r, enumerate(total))
 
 
 def state_sum_bracket(d: PlanarDiagram) -> HalfLaurent:

@@ -34,7 +34,7 @@ from qperiod.linkdiag import (
     pd_text,
     yokota_check_braid,
 )
-from qperiod.modular import InputError
+from qperiod.modular import InputError, is_prime
 from qperiod.qpoly import poly_to_json
 from qperiod.tau import obstruction_test, period_discriminant, quotient_congruence_test, tau_for
 from test_cli_golden import command_line, golden_entries
@@ -335,13 +335,17 @@ def test_jones_pd_over_the_width_cap_is_refused(capsys, tmp_path) -> None:
     )
 
 
-def stdout_digest(capsys, argv: list[str]) -> str:
-    """The SHA-256 of a call's stdout; the call must succeed within 5 s."""
-    start = time.monotonic()
-    code, out, _ = run_cli(capsys, argv)
-    assert time.monotonic() - start < 5.0
-    assert code == 0
-    return hashlib.sha256(out.encode()).hexdigest()
+def stdout_digest(capsys, *argvs: list[str]) -> str:
+    """The SHA-256 of the calls' stdout, in order; each call must succeed
+    within 5 s."""
+    digest = hashlib.sha256()
+    for argv in argvs:
+        start = time.monotonic()
+        code, out, _ = run_cli(capsys, argv)
+        assert time.monotonic() - start < 5.0
+        assert code == 0
+        digest.update(out.encode())
+    return digest.hexdigest()
 
 
 def test_murasugi_on_a_nine_strand_power_is_fast(capsys) -> None:
@@ -360,6 +364,36 @@ def test_jones_pd_with_sixty_crossings_is_fast(capsys, tmp_path) -> None:
     path.write_text(pd_text(closure(BraidWord(4, (1, -2, 3, 2, -1, -3) * 10))), encoding="utf-8")
     assert stdout_digest(capsys, ["jones", "--pd", str(path), "--json"]) == (
         "f1701c7fcf9bfad21c7c06fa64551086ffecb1d49d291ee54b0be65591aa3b37"
+    )
+
+
+def test_tau_at_level_10007_is_fast(capsys) -> None:
+    # the digest is of the report the window sum gave, in about 35 s
+    argv = ["tau", "--manifold", "poincare", "--r", "10007", "--json"]
+    assert stdout_digest(capsys, argv) == (
+        "b755a03203bcd1e88b2f0e9c163a7ec655fa153a2d42b97fdb339deb272c018f"
+    )
+
+
+def test_obstruct_at_level_10007_is_fast(capsys) -> None:
+    # the digest is of the report the window sum gave, in about 35 s
+    argv = ["obstruct", "--manifold", "brieskorn237", "--r", "10007", "--json"]
+    assert stdout_digest(capsys, argv) == (
+        "022d858ca39e270c9fbda6bd4a861277904445218e0c94a42abf96e7bd8896f4"
+    )
+
+
+def test_manifold_reports_below_400_are_unchanged(capsys) -> None:
+    # the digest is of the window sum's reports at every prime level
+    argvs = [
+        [command, "--manifold", manifold, "--r", str(r), "--json"]
+        for manifold in ("poincare", "brieskorn237")
+        for r in range(5, 400)
+        if is_prime(r)
+        for command in ("tau", "obstruct", "ohtsuki")
+    ]
+    assert stdout_digest(capsys, *argvs) == (
+        "64affac650ed7641c433130919cf6aa6f77973b9a5364ee2fb51ade4508a137d"
     )
 
 
@@ -479,25 +513,34 @@ def test_liedata_bad_rank_is_usage_error(capsys) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the manifold path: windows, digits and twists without exact division
+# the manifold path: one exact division per invariant, none for digits or twists
 
 
 @pytest.mark.parametrize("manifold", sorted(cli.MANIFOLD_IDS))
-def test_manifold_commands_divide_nothing(capsys, monkeypatch, manifold) -> None:
-    def division(*args):
-        raise AssertionError("the manifold path divided exactly")
+def test_manifold_commands_divide_once_per_level(capsys, monkeypatch, manifold) -> None:
+    calls = []
+    divide = cyclo.divide_power_vector
+
+    def counted(y, m):
+        calls.append(m)
+        return divide(y, m)
 
     for name, module in list(sys.modules.items()):
         if name == "qperiod" or name.startswith("qperiod."):
             if "divide_power_vector" in vars(module):
-                monkeypatch.setattr(module, "divide_power_vector", division)
-    with pytest.raises(AssertionError, match="divided"):
-        cyclo.ohtsuki_expansion(CyclotomicInt.one(5))  # the patch is live
+                monkeypatch.setattr(module, "divide_power_vector", counted)
+    tau.tau_poincare(5)
+    assert calls == [1]  # the patch is live
+    # the Eichler sum divides once by 1 - xi; s3, the Ohtsuki digits of the
+    # full `ohtsuki` table, the twists and the discriminant divide nothing
+    want = 0 if manifold == "s3" else 1
     for r in ("5", "7", "59"):
-        for argv in (["tau", "--r", r], ["obstruct", "--r", r], ["ohtsuki", "--r", r],
-                     ["discriminant", "--primes", r]):
+        for argv, n in ((["tau", "--r", r], want), (["obstruct", "--r", r], want),
+                        (["ohtsuki", "--r", r], want), (["discriminant", "--primes", r], 0)):
+            calls.clear()
             code, _, err = run_cli(capsys, [*argv, "--manifold", manifold])
             assert code == 0, (argv, err)
+            assert calls == [1] * n, argv
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +565,7 @@ def test_refusal_comes_before_the_work(capsys, monkeypatch, argv, message) -> No
     def work(*args):
         raise AssertionError("reached the work that the refusal guards")
 
-    monkeypatch.setattr(tau, "_tau_sum", work)
+    monkeypatch.setattr(tau, "_eichler_tau", work)
     monkeypatch.setattr(liedata, "gauss_sum", work)
     with pytest.raises(AssertionError, match="reached"):
         main(["tau", "--manifold", "poincare", "--r", "7"])  # the patch is live

@@ -16,10 +16,12 @@ from oracles import (
     level_discriminant_row,
     one_minus_xi,
     self_twists_by_rotation,
+    window_tau_sum,
 )
 from qperiod.cyclo import CyclotomicInt, make, ohtsuki_expansion, twist_conjugate
 from qperiod.liedata import build_root_system
 from qperiod.tau import (
+    EICHLER,
     MANIFOLDS,
     DiscriminantReport,
     coeff_table,
@@ -31,7 +33,7 @@ from qperiod.tau import (
     tau_for,
     tau_poincare,
     tau_s3,
-    _tau_sum,
+    _character,
 )
 from qperiod.modular import is_prime
 
@@ -81,8 +83,9 @@ def test_tau_for_dispatch() -> None:
 
 
 # ---------------------------------------------------------------------------
-# the term-by-term reference for _tau_sum: each window rebuilt from scratch
-# as a dense product in Z[xi], about r^4 per level
+# the Eichler sum against the window sum of the oracles, and that against
+# the term-by-term reference: each window rebuilt from scratch as a dense
+# product in Z[xi], about r^4 per level
 
 
 def _geometric(r: int, n: int) -> CyclotomicInt:
@@ -120,7 +123,38 @@ def test_truncation_is_safe(r: int) -> None:
 @pytest.mark.parametrize("r", [r for r in range(5, 62) if is_prime(r)])
 def test_tau_sum_matches_window_reference(r: int, manifold: str) -> None:
     front = FRONTS[manifold]
-    assert _tau_sum(r, front) == _reference_sum(r, front, r - 1)
+    assert window_tau_sum(r, front) == _reference_sum(r, front, r - 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(sorted(FRONTS)), st.sampled_from(LEVELS_TO_2000))
+@example("poincare", 5)
+@example("brieskorn_2_3_7", 1999)
+def test_eichler_sum_matches_window_sum(manifold: str, r: int) -> None:
+    assert tau_for(manifold, r).value == window_tau_sum(r, FRONTS[manifold])
+
+
+@pytest.mark.parametrize(
+    "manifold, plus, minus",
+    [
+        ("poincare", {1, 11, 19, 29}, {31, 41, 49, 59}),
+        ("brieskorn_2_3_7", {13, 29, 43, 83}, {1, 41, 55, 71}),
+    ],
+)
+def test_character_has_the_published_residues(manifold: str, plus: set, minus: set) -> None:
+    # Lawrence-Zagier mod 60 and Hikami mod 84, derived from the triple
+    assert _character(EICHLER[manifold][0]) == dict.fromkeys(plus, 1) | dict.fromkeys(minus, -1)
+
+
+@pytest.mark.parametrize(
+    "manifold, corrupt",
+    [("poincare", ((3, 3, 5), 1, -1, 0)), ("brieskorn_2_3_7", ((2, 5, 5), 0, 0, 1))],
+)
+def test_corrupt_eichler_constant_fails_divisibility(monkeypatch, manifold: str, corrupt) -> None:
+    # the division by 2Mr is an identity, so a wrong triple is a fault, not an input error
+    monkeypatch.setitem(EICHLER, manifold, corrupt)
+    with pytest.raises(AssertionError, match="2Mr does not divide"):
+        tau_for(manifold, 11)
 
 
 # collected congruence table: a1 = 6 for both manifolds at every good prime
