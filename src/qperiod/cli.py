@@ -36,15 +36,7 @@ from typing import Callable, NamedTuple
 from .cyclo import require_depth
 from .liedata import build_root_system, constants, gauss_report, require_level
 from .linkdiag import (
-    BraidWord,
-    jones,
-    jones_of_braid,
-    murasugi_check,
-    parse_braid,
-    parse_pd,
-    require_period,
-    yokota_check,
-    yokota_check_braid,
+    closure, jones, murasugi_check, parse_braid, parse_pd, require_period, yokota_check,
 )
 from .modular import InputError
 from .qpoly import poly_text, poly_to_json
@@ -93,9 +85,10 @@ def _parse_primes(text: str) -> list[int]:
 
 
 def _load_link(args):
-    """The BraidWord of --braid or the PlanarDiagram read from --pd."""
+    """The PlanarDiagram of --braid's closure or the one read from --pd, so
+    that jones and yokota have one path for both."""
     if args.braid is not None:
-        return parse_braid(args.braid)
+        return closure(parse_braid(args.braid))
     try:
         with open(args.pd, encoding="utf-8") as fh:
             text = fh.read()
@@ -167,8 +160,7 @@ def _ohtsuki(args) -> Report:
 
 
 def _jones(args) -> Report:
-    link = _load_link(args)
-    v = jones_of_braid(link) if isinstance(link, BraidWord) else jones(link)
+    v = jones(_load_link(args))
     return poly_to_json(v), lambda: [poly_text(v)]
 
 
@@ -179,9 +171,7 @@ def _murasugi(args) -> Report:
 
 def _yokota(args) -> Report:
     require_period(args.p)  # before the link is loaded
-    link = _load_link(args)
-    check = yokota_check_braid if isinstance(link, BraidWord) else yokota_check
-    return _congruence("yokota", args.p, check(link, args.p))
+    return _congruence("yokota", args.p, yokota_check(_load_link(args), args.p))
 
 
 def _gauss(args) -> Report:

@@ -5,6 +5,8 @@ Elements are integer coordinate vectors in the canonical basis
 1 + T + ... + T^(r-1), so xi^(r-1) = -(1 + xi + ... + xi^(r-2)) and every
 element has exactly one coordinate vector.  That makes equality testing,
 integer divisibility, and the (1 - xi)-adic expansion coefficientwise.
+The ring operations take two elements of one ring; an integer enters as
+`CyclotomicInt.from_int`.
 
 The (1 - xi)-adic expansion writes x as
 
@@ -21,8 +23,8 @@ Pascal's rule, C(i, n+1) = sum_{j<i} C(j, n), on residues mod r: O(r) per
 digit and no division.  `ohtsuki_expansion(x)` keeps the peeling
 reference, which also returns the cofactor x'.
 
-One routine, `divide_power_vector`, divides exactly by 1 - xi^m for any
-m invertible mod r, in O(r) on the power basis xi^0 .. xi^(r-1).
+One routine, `divide_power_vector`, divides exactly by 1 - xi, in O(r)
+on the power basis xi^0 .. xi^(r-1): one running sum.
 
 One re-indexing, `twist_conjugate`, gives the twisted conjugate
 xi^v conj(x) in O(r): the conjugation obstruction x = xi^v conj(x) of
@@ -72,11 +74,6 @@ class CyclotomicInt:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, r: int) -> CyclotomicInt:
-        _check_r(r)
-        return cls(r, (0,) * (r - 1))
-
-    @classmethod
     def one(cls, r: int) -> CyclotomicInt:
         return cls.from_int(r, 1)
 
@@ -96,28 +93,17 @@ class CyclotomicInt:
         if self.r != other.r:
             raise ValueError(f"mixed rings: r={self.r} vs r={other.r}")
 
-    def __add__(self, other: CyclotomicInt | int) -> CyclotomicInt:
-        if isinstance(other, int):
-            other = CyclotomicInt.from_int(self.r, other)
+    def __add__(self, other: CyclotomicInt) -> CyclotomicInt:
         self._check_same_ring(other)
         return CyclotomicInt(self.r, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
 
     def __neg__(self) -> CyclotomicInt:
         return CyclotomicInt(self.r, tuple(-a for a in self.coeffs))
 
-    def __sub__(self, other: CyclotomicInt | int) -> CyclotomicInt:
-        if isinstance(other, int):
-            other = CyclotomicInt.from_int(self.r, other)
+    def __sub__(self, other: CyclotomicInt) -> CyclotomicInt:
         return self + (-other)
 
-    def __rsub__(self, other: int) -> CyclotomicInt:
-        return CyclotomicInt.from_int(self.r, other) - self
-
-    def __mul__(self, other: CyclotomicInt | int) -> CyclotomicInt:
-        if isinstance(other, int):
-            return CyclotomicInt(self.r, tuple(other * a for a in self.coeffs))
+    def __mul__(self, other: CyclotomicInt) -> CyclotomicInt:
         self._check_same_ring(other)
         # Kronecker substitution: pack each factor's power-basis vector as
         # the base-2^(8 * width) digits of one integer, so that a single
@@ -135,20 +121,6 @@ class CyclotomicInt:
             acc[k % r] += int.from_bytes(digits[k * width:(k + 1) * width], "little")
         return _fold_power_vector(r, acc)
 
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> CyclotomicInt:
-        if n < 0:
-            raise ValueError("negative powers leave Z[xi]")
-        out = CyclotomicInt.one(self.r)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     # -- structure maps -----------------------------------------------------
 
     def galois(self, j: int) -> CyclotomicInt:
@@ -160,10 +132,6 @@ class CyclotomicInt:
     def conjugate(self) -> CyclotomicInt:
         """Complex conjugation, xi -> xi^(r-1)."""
         return self.galois(self.r - 1)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
 
     def __str__(self) -> str:
         parts = []
@@ -216,36 +184,25 @@ def twist_conjugate(x: CyclotomicInt, v: int) -> CyclotomicInt:
     return make(x.r, ((v - i, c) for i, c in enumerate(x.coeffs)))
 
 
-def divide_power_vector(y: list[int], m: int) -> list[int]:
-    """Exact quotient y / (1 - xi^m) in O(r), for m invertible mod r
-    (ValueError otherwise), with y and the quotient on the power basis
-    xi^0 .. xi^(r-1); the quotient's top coordinate is 0, so dropping it
-    leaves canonical coordinates.
+def divide_power_vector(y: list[int]) -> list[int]:
+    """Exact quotient y / (1 - xi) in O(r), with y and the quotient on the
+    power basis xi^0 .. xi^(r-1); the quotient's top coordinate is 0, so
+    dropping it leaves canonical coordinates.
 
-    The coefficient sum s of y decides divisibility: (1 - xi^m) generates
-    the ideal (1 - xi), which holds y exactly when s = 0 mod r, and
-    NotDivisibleError is raised outside it.  After subtracting s/r copies
-    of 1 + xi + ... + xi^(r-1), which is 0, the quotient q satisfies
-    q_i = y_i + q_(i-m): a running sum along the single cycle of the walk
-    i -> i + m, from m - 1 round to r - 1, where it closes at zero.
+    The coefficient sum s of y decides divisibility: (1 - xi) holds y
+    exactly when s = 0 mod r, and NotDivisibleError is raised outside it.
+    After subtracting s/r copies of 1 + xi + ... + xi^(r-1), which is 0,
+    the quotient q satisfies q_i = y_i + q_(i-1): one running sum, which
+    ends at s - r (s/r) = 0 on the top coordinate.
     """
     r = len(y)
-    m %= r
-    if m == 0:
-        raise ValueError("the exponent of xi must be nonzero mod r")
     s = sum(y)
     if s % r != 0:
         raise NotDivisibleError(
             f"element with coefficient-sum residue {s % r} is not divisible by (1 - xi)"
         )
     c = s // r
-    walk = [i % r for i in range(m - 1, r * m, m)]
-    q = [0] * r
-    for i, run in zip(walk, accumulate(y[i] - c for i in walk)):
-        q[i] = run
-    if q[r - 1] != 0:
-        raise AssertionError("division bookkeeping failed")  # unreachable
-    return q
+    return list(accumulate(v - c for v in y))
 
 
 @dataclass(frozen=True)
@@ -294,7 +251,7 @@ def ohtsuki_expansion(x: CyclotomicInt) -> OhtsukiExpansion:
     for _ in range(r - 1):
         digits.append(sum(cur) % r)
         cur[0] -= digits[-1]
-        cur = divide_power_vector(cur, 1)
+        cur = divide_power_vector(cur)
     return OhtsukiExpansion(r, tuple(digits), CyclotomicInt(r, tuple(cur[:-1])))
 
 

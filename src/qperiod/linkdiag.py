@@ -89,12 +89,6 @@ def parse_braid(text: str) -> BraidWord:
     return BraidWord(strands, letters)
 
 
-def braid_power(b: BraidWord, p: int) -> BraidWord:
-    if p < 1:
-        raise ValueError("braid power must be >= 1")
-    return BraidWord(b.strands, b.letters * p)
-
-
 # ---------------------------------------------------------------------------
 # planar diagrams
 
@@ -585,7 +579,8 @@ def murasugi_check(b: BraidWord, p: int) -> CongruenceReport:
     p-periodic with the small one as quotient, which is true here by
     construction."""
     require_period(p)
-    return _congruence(jones_of_braid(braid_power(b, p)), jones_of_braid(b) ** p, p, eta(p))
+    big = jones_of_braid(BraidWord(b.strands, b.letters * p))
+    return _congruence(big, jones_of_braid(b) ** p, p, eta(p))
 
 
 def p2_check(b: BraidWord, p: int) -> CongruenceReport:
@@ -593,7 +588,7 @@ def p2_check(b: BraidWord, p: int) -> CongruenceReport:
     (p, [2]^p - [2]); p = 2 is allowed here."""
     require_prime("p", p)
     two = quantum_integer(2)
-    lhs = two_strand_invariant(jones_of_braid(braid_power(b, p)))
+    lhs = two_strand_invariant(jones_of_braid(BraidWord(b.strands, b.letters * p)))
     rhs = two_strand_invariant(jones_of_braid(b)) ** p
     return _congruence(lhs, rhs, p, two**p - two)
 

@@ -12,8 +12,9 @@ e3/p3) mod M, 0 elsewhere.  At a prime level r, with (a, b, c) from EICHLER,
     S = sum_{0<n<Mr} n chi(n) xi^(c + (n^2 - 1)/(2M)),
 
 an Eichler sum of 8r monomials with integer exponents: n^2 = 1 mod 2M
-wherever chi(n) != 0.  2Mr divides every canonical coordinate of S, an
-identity, so a remainder is a fault; one division by 1 - xi ends an O(r) level.
+wherever chi(n) != 0.  2Mr divides every canonical coordinate of S and
+1 - xi divides the quotient, both identities, so a remainder in either is
+a fault; that one division by 1 - xi ends an O(r) level.
 
 The rest reads only the low Ohtsuki digits, which cost O(r) each: a
 coefficient table to depth d is O(d * r), so the `tau` and `obstruct`
@@ -38,12 +39,11 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial, prod
 
-from .cyclo import CyclotomicInt, cyclo_to_json, divide_power_vector, make, ohtsuki_digits
+from .cyclo import CyclotomicInt, cyclo_to_json, divide_power_vector, ohtsuki_digits
 from .liedata import RootSystem, admissible_r, build_root_system
 from .modular import InputError, encode_int, factorize, is_prime_argument, require_prime
 from .qpoly import HalfLaurent
 
-MANIFOLDS = ("poincare", "brieskorn_2_3_7", "s3")
 # the front exponent f(n) of each closed-form invariant sum_n xi^f(n) W(n)
 FRONT_EXPONENTS = {"poincare": lambda n: n, "brieskorn_2_3_7": lambda n: -n * (n + 2)}
 # (p1, p2, p3), a, b, c of each Eichler identity xi^a (1 - xi) tau = b - S / (2Mr)
@@ -95,7 +95,9 @@ def _eichler_tau(manifold_id: str, r: int) -> CyclotomicInt:
     if any(rems):
         raise AssertionError(f"2Mr does not divide the Eichler sum of {manifold_id} at r = {r}")
     q[0] += b
-    return CyclotomicInt(r, tuple(divide_power_vector(q[a:] + q[:a], 1)[:-1]))  # xi^-a q / (1 - xi)
+    if sum(q) % r:
+        raise AssertionError(f"1 - xi does not divide the Eichler quotient of {manifold_id} at r = {r}")
+    return CyclotomicInt(r, tuple(divide_power_vector(q[a:] + q[:a])[:-1]))  # xi^-a q / (1 - xi)
 
 
 def tau_poincare(r: int) -> TauValue:
@@ -230,7 +232,8 @@ def quotient_congruence_test(
     the cyclotomic polynomial mod p that kills it has z^(p-1) = 1 or
     z^(p+1) = 1, so unless p = +-1 mod r the ideal is all of Z[xi] and
     every u passes.  If p = +-1 mod r the generator is 0 and the ideal is
-    (p): u passes when the coordinates of both sides agree mod p."""
+    (p): u passes when the power-basis vectors of both sides differ mod p
+    by a constant vector, a multiple of 1 + xi + ... + xi^(r-1) = 0."""
     require_prime("p", p)
     if x_m.r != r or x_m_prime.r != r:
         raise ValueError("invariants live at the wrong root of unity")
@@ -238,14 +241,14 @@ def quotient_congruence_test(
         raise InputError(f"p = {p} must not divide r times the Weyl order")
     if p % r not in (1, r - 1):
         return tuple(range(2 * r))
-    power = x_m_prime.galois(p)
-    target = [c % p for c in x_m.coeffs]
+    x, y = [*x_m.coeffs, 0], [*x_m_prime.galois(p).coeffs, 0]  # power basis
     found = []
     for u in range(2 * r):
-        # (-xi)^u * power re-indexes coordinates: xi^i moves to xi^(i+u)
+        # (-xi)^u sigma_p(x_m') has power-basis coordinates (-1)^u y[(i - u) mod r]
         sign = -1 if u % 2 else 1
-        shifted = make(r, ((i + u, sign * c) for i, c in enumerate(power.coeffs)))
-        if [c % p for c in shifted.coeffs] == target:
+        diffs = ((sign * y[(i - u) % r] - x[i]) % p for i in range(r))
+        first = next(diffs)
+        if all(d == first for d in diffs):
             found.append(u)
     return tuple(found)
 

@@ -6,12 +6,12 @@ route, a gcd and a division over GF(p) (`fp_gcd`, `fp_divides`), that
 `tau.quotient_congruence_test` replaced by reading p mod r,
 `schoolbook_product` the coordinate double loop that the packed Z[xi]
 product replaced,
-`divide_by_one_minus_xi` and `twisted_division` the partial-sum division
-by 1 - xi and the twist-divide-twist route to 1 - xi^e that
-`cyclo.divide_power_vector` replaced, `divide_by_one_minus_xi_power` that
-division on canonical coordinates, `f_unknot` and `mirror_unknot` the
-chains of divisions by 1 - xi^(beta|rho) and by 1 - xi^-(beta|rho) that
-the twisted conjugate of gamma in `liedata.verify_ratio` replaced,
+`divide_by_one_minus_xi` the partial-sum division by 1 - xi that
+`cyclo.divide_power_vector` replaced, `twisted_division` the
+twist-divide-twist route to 1 - xi^e, e any unit mod r, which serves
+`f_unknot` and `mirror_unknot`, the chains of divisions by
+1 - xi^(beta|rho) and by 1 - xi^-(beta|rho) that the twisted conjugate of
+gamma in `liedata.verify_ratio` replaced,
 `kernel_size` the Gram elimination mod r that `liedata.gauss_report`
 replaced by the constant 1 at every level it admits,
 `gauss_sum_by_definition` the Gauss sum with each exponent read off the
@@ -45,7 +45,6 @@ from qperiod.cyclo import (
     CyclotomicInt,
     NotDivisibleError,
     OhtsukiExpansion,
-    divide_power_vector,
     make,
     ohtsuki_digits,
     twist_conjugate,
@@ -183,12 +182,6 @@ def twisted_division(x: CyclotomicInt, e: int) -> CyclotomicInt:
     return divide_by_one_minus_xi(x.galois(pow(e, -1, x.r))).galois(e)
 
 
-def divide_by_one_minus_xi_power(x: CyclotomicInt, e: int) -> CyclotomicInt:
-    """Exact quotient x / (1 - xi^e) for e invertible mod r, as
-    cyclo.divide_power_vector."""
-    return CyclotomicInt(x.r, tuple(divide_power_vector([*x.coeffs, 0], e)[:-1]))
-
-
 def gauss_sum_by_definition(rs: RootSystem, r: int) -> CyclotomicInt:
     """Sum of xi^((mu|mu)/2 + (mu|rho)) over the r^l root-lattice cosets,
     with (mu|mu) from the whole Gram matrix; it is even on the root
@@ -207,7 +200,7 @@ def f_unknot(rs: RootSystem, r: int) -> CyclotomicInt:
     because r > h."""
     quotient = gauss_sum(rs, r)
     for beta in rs.positive_roots:
-        quotient = divide_by_one_minus_xi_power(quotient, rs.rho_pairing(beta))
+        quotient = twisted_division(quotient, rs.rho_pairing(beta))
     return quotient
 
 
@@ -216,7 +209,7 @@ def mirror_unknot(rs: RootSystem, r: int) -> CyclotomicInt:
     beta, one exact division per root."""
     quotient = gauss_sum(rs, r).conjugate()
     for beta in rs.positive_roots:
-        quotient = divide_by_one_minus_xi_power(quotient, -rs.rho_pairing(beta))
+        quotient = twisted_division(quotient, -rs.rho_pairing(beta))
     return quotient
 
 
@@ -452,10 +445,10 @@ def one_minus_xi(r: int) -> CyclotomicInt:
 def reconstruct(e: OhtsukiExpansion) -> CyclotomicInt:
     """Resum digits and remainder; inverse of ohtsuki_expansion."""
     base = one_minus_xi(e.r)
-    out = CyclotomicInt.zero(e.r)
+    out = make(e.r, ())
     pw = CyclotomicInt.one(e.r)
     for an in e.a:
-        out = out + pw * an
+        out = out + pw * CyclotomicInt.from_int(e.r, an)
         pw = pw * base
     return out + pw * e.remainder
 

@@ -14,7 +14,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qperiod import cli, cyclo, liedata, tau
@@ -32,7 +32,7 @@ from qperiod.linkdiag import (
     parse_braid,
     parse_pd,
     pd_text,
-    yokota_check_braid,
+    yokota_check,
 )
 from qperiod.modular import InputError, is_prime
 from qperiod.qpoly import poly_to_json
@@ -521,16 +521,16 @@ def test_manifold_commands_divide_once_per_level(capsys, monkeypatch, manifold) 
     calls = []
     divide = cyclo.divide_power_vector
 
-    def counted(y, m):
-        calls.append(m)
-        return divide(y, m)
+    def counted(y):
+        calls.append(len(y))
+        return divide(y)
 
     for name, module in list(sys.modules.items()):
         if name == "qperiod" or name.startswith("qperiod."):
             if "divide_power_vector" in vars(module):
                 monkeypatch.setattr(module, "divide_power_vector", counted)
     tau.tau_poincare(5)
-    assert calls == [1]  # the patch is live
+    assert calls == [5]  # the patch is live
     # the Eichler sum divides once by 1 - xi; s3, the Ohtsuki digits of the
     # full `ohtsuki` table, the twists and the discriminant divide nothing
     want = 0 if manifold == "s3" else 1
@@ -540,7 +540,7 @@ def test_manifold_commands_divide_once_per_level(capsys, monkeypatch, manifold) 
             calls.clear()
             code, _, err = run_cli(capsys, [*argv, "--manifold", manifold])
             assert code == 0, (argv, err)
-            assert calls == [1] * n, argv
+            assert calls == [int(r)] * n, argv
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +595,8 @@ ONE = CyclotomicInt.one(5)
         ("tau --manifold s3 --r 5 --depth 4", lambda: ohtsuki_digits(ONE, 4)),
         ("murasugi --braid 'strands 2 : 1' --p 4", lambda: murasugi_check(B, 4)),
         ("murasugi --braid 'strands 2 : 1' --p 2", lambda: murasugi_check(B, 2)),
-        ("yokota --braid 'strands 2 : 1 1 1' --p 9", lambda: yokota_check_braid(B, 9)),
-        ("yokota --braid 'strands 2 : 1 1 1' --p 2", lambda: yokota_check_braid(B, 2)),
+        ("yokota --braid 'strands 2 : 1 1 1' --p 9", lambda: yokota_check(closure(B), 9)),
+        ("yokota --braid 'strands 2 : 1 1 1' --p 2", lambda: yokota_check(closure(B), 2)),
         ("murasugi --braid 'strands 2 : 1' --p -3", lambda: p2_check(B, -3)),
         ("yokota --braid 'strands 2 : 1 1 1' --p 9", lambda: quotient_congruence_test(ONE, ONE, 9, 5)),
         ("murasugi --braid 'strands x' --p 3", lambda: parse_braid("strands x")),
@@ -688,11 +688,17 @@ def test_closed_output_pipe_exits_quietly() -> None:
 
 
 def exit_code(argv: list[str]) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    return exit_and_output(argv)[0]
+
+
+def exit_and_output(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as exc:
-            return exc.code
+            code = exc.code
+    return code, out.getvalue()
 
 
 def mostly(valid, invalid):
@@ -707,11 +713,17 @@ def letters(n: int) -> list[int]:
 
 small_primes = st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47])
 levels = mostly(small_primes, st.integers(-2, 60)).map(str)
+braid_words = st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.sampled_from(letters(n)), max_size=6).map(lambda word: BraidWord(n, tuple(word)))
+)
+
+
+def braid_text(b: BraidWord) -> str:
+    return f"strands {b.strands} : " + " ".join(map(str, b.letters))
+
+
 braid_texts = mostly(
-    st.integers(2, 4).flatmap(
-        lambda n: st.lists(st.sampled_from(letters(n)), max_size=6)
-        .map(lambda word: f"strands {n} : " + " ".join(map(str, word)))
-    ),
+    braid_words.map(braid_text),
     st.one_of(
         st.builds(
             lambda n, word: f"strands {n} : " + " ".join(map(str, word)),
@@ -750,6 +762,36 @@ def pd_texts(draw) -> str:
 def test_fuzz_braid_commands_exit_cleanly(command, braid, p, as_json):
     argv = [command, "--braid", braid] + (["--p", p] if command != "jones" else [])
     assert exit_code(argv + ["--json"] * as_json) in (0, 1, 2)
+
+
+def over_only_two_arc_component(d) -> bool:
+    """Whether some two-arc component of d passes under no crossing, the
+    shape whose orientation parse_pd cannot derive."""
+    under = {x[0] for x in d.crossings} | {x[2] for x in d.crossings}
+    return any(len(comp) == 2 and not under.intersection(comp) for comp in d.components)
+
+
+@settings(max_examples=60, deadline=None)
+@given(braid_words, small_primes)
+@example(BraidWord(2, (1, -1)), 3)  # the strand crossed twice over is refused as a PD file
+@example(BraidWord(3, ()), 5)  # three free loops
+def test_braid_and_pd_of_its_closure_print_the_same_bytes(b, p):
+    # --braid loads the closure of the word, so jones and yokota take one
+    # path for both sources; only the PD file of an over-only two-arc
+    # component is refused, since it carries no orientation
+    d = closure(b)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "closure.pd")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(pd_text(d))
+        for command in (["jones"], ["yokota", "--p", str(p)]):
+            by_braid = exit_and_output([*command, "--braid", braid_text(b), "--json"])
+            by_pd = exit_and_output([*command, "--pd", path, "--json"])
+            assert by_braid[0] == 0
+            if over_only_two_arc_component(d):
+                assert by_pd[0] == 1
+            else:
+                assert by_pd == by_braid
 
 
 @settings(max_examples=60, deadline=None)

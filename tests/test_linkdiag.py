@@ -22,7 +22,6 @@ from qperiod.linkdiag import (
     PlanarDiagram,
     WidthLimitError,
     bracket_of_braid,
-    braid_power,
     closure,
     jones,
     jones_of_braid,
@@ -98,13 +97,6 @@ def test_parse_braid_rejects(text):
         parse_braid(text)
 
 
-def test_braid_power():
-    b = braid("strands 2 : 1 -1")
-    assert braid_power(b, 3).letters == (1, -1) * 3
-    with pytest.raises(ValueError):
-        braid_power(b, 0)
-
-
 def test_braid_permutation_and_components():
     assert braid_permutation(braid("strands 3 : 1 2")) == (2, 0, 1)
     assert braid_component_count(braid("strands 3 : 1 2")) == 1
@@ -165,7 +157,7 @@ def test_bracket_statesum_matches_transfer(b):
 @settings(max_examples=40, deadline=None)
 @example(parse_braid("strands 6 : 1 -2 3 -4 5 1"), 5)
 def test_bracket_of_braid_powers_matches_transfer(b, p):
-    bp = braid_power(b, p)
+    bp = BraidWord(b.strands, b.letters * p)
     assert bracket_of_braid(bp) == transfer_bracket(bp)
 
 

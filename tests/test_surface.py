@@ -1,6 +1,7 @@
-"""Every public function, class and method of the package has a use: some
-module under src/, scripts/ or perfbench/ names it outside its own
-definition.  A routine that only the tests call belongs in tests/oracles.py.
+"""Every public function, class, method and module constant of the
+package has a use: some module under src/, scripts/ or perfbench/ names it
+outside its own definition.  A routine or a constant that only the tests
+call belongs in tests/oracles.py or in the test that reads it.
 No module of the package imports a private name from another: what a
 sibling needs is public, and so checked for a use like every public name.
 The CLI holds no argument rule of its own: it names no is_prime, and it
@@ -8,7 +9,9 @@ turns no library ValueError into a usage error by hand, since the library
 refuses with InputError and main reports that.
 
 A use is a name, an attribute, an imported name, or one part of a dotted
-string such as perfbench's "cyclo.CyclotomicInt.power"."""
+string such as perfbench's "cyclo.CyclotomicInt.power".  A module that
+binds a name itself, at its top level or in a class body, names its own
+binding: its uses of that name count for no other module."""
 from __future__ import annotations
 
 import ast
@@ -26,17 +29,43 @@ USERS = sorted(
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
-def definitions(tree: ast.Module) -> list[ast.AST]:
-    """The public top-level functions and classes of a module, and the
-    public methods of its classes."""
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+def bindings(body: list[ast.stmt]) -> list[tuple[str, ast.stmt]]:
+    """(name, statement) for each function, class or assigned name that the
+    statements of body bind."""
     found = []
-    for node in tree.body:
-        if isinstance(node, kinds) and not node.name.startswith("_"):
-            found.append(node)
-            if isinstance(node, ast.ClassDef):
-                found += [m for m in node.body if isinstance(m, kinds) and not m.name.startswith("_")]
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names = target.elts if isinstance(target, ast.Tuple) else [target]
+                found += [(n.id, node) for n in names if isinstance(n, ast.Name)]
     return found
+
+
+def definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """The public top-level functions, classes and constants of a module,
+    and the public methods of its classes."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for name, node in bindings(tree.body):
+        if not name.startswith("_"):
+            found.append((name, node))
+            if isinstance(node, ast.ClassDef):
+                found += [(m.name, m) for m in node.body
+                          if isinstance(m, kinds) and not m.name.startswith("_")]
+    return found
+
+
+def bound(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level or in a class body there."""
+    names = set()
+    for name, node in bindings(tree.body):
+        names.add(name)
+        if isinstance(node, ast.ClassDef):
+            names.update(n for n, _ in bindings(node.body))
+    return names
 
 
 def uses(tree: ast.AST) -> list[tuple[str, int]]:
@@ -57,17 +86,19 @@ def uses(tree: ast.AST) -> list[tuple[str, int]]:
 
 def unused(package: dict[str, ast.Module], users: dict[str, ast.Module]) -> list[str]:
     """'file:name' for each public definition in package that no module of
-    users names outside the definition's own lines."""
+    users names outside the definition's own lines, counting a module's
+    use of a name it binds itself only for its own definitions."""
     used = defaultdict(list)
     for path, tree in users.items():
+        own_names = bound(tree)
         for name, line in uses(tree):
-            used[name].append((path, line))
+            used[name].append((path, line, name in own_names))
     missing = []
     for path, tree in package.items():
-        for node in definitions(tree):
+        for name, node in definitions(tree):
             own = range(node.lineno, node.end_lineno + 1)
-            if all(p == path and line in own for p, line in used[node.name]):
-                missing.append(f"{Path(path).name}:{node.name}")
+            if all(line in own if p == path else shadowed for p, line, shadowed in used[name]):
+                missing.append(f"{Path(path).name}:{name}")
     return missing
 
 
@@ -162,5 +193,23 @@ def test_private_import_guard(source, verdict):
 )
 def test_guard_finds_each_kind_of_use(user, verdict):
     source = "def helper():\n    return helper()\n\nclass Box:\n    def size(self):\n        return 1\n"
+    package = {"mod.py": ast.parse(source)}
+    assert unused(package, package | {"user.py": ast.parse(user)}) == verdict
+
+
+@pytest.mark.parametrize(
+    "user, verdict",
+    [
+        ("", ["mod.py:LIMIT", "mod.py:ROWS"]),
+        ("from mod import LIMIT", ["mod.py:ROWS"]),
+        ("x = mod.LIMIT + len(ROWS)", []),
+        ("LIMIT = 3\nprint(LIMIT, ROWS)", ["mod.py:LIMIT"]),
+        ("class Job:\n    LIMIT = 3\n\n    def f(self):\n        return self.LIMIT",
+         ["mod.py:LIMIT", "mod.py:ROWS"]),
+    ],
+)
+def test_guard_counts_public_constants(user, verdict):
+    # a module's own constant of the same name is not a use
+    source = "LIMIT = 2\nROWS: tuple = ()\n_CACHE = {}\n"
     package = {"mod.py": ast.parse(source)}
     assert unused(package, package | {"user.py": ast.parse(user)}) == verdict

@@ -22,7 +22,6 @@ from qperiod.cyclo import CyclotomicInt, make, ohtsuki_expansion, twist_conjugat
 from qperiod.liedata import build_root_system
 from qperiod.tau import (
     EICHLER,
-    MANIFOLDS,
     DiscriminantReport,
     coeff_table,
     discriminant_integers,
@@ -40,10 +39,19 @@ from qperiod.modular import is_prime
 A1 = build_root_system("A", 1)
 LEVELS_TO_2000 = [r for r in range(5, 2000) if is_prime(r)]
 FRONTS = {"poincare": lambda n: n, "brieskorn_2_3_7": lambda n: -n * (n + 2)}
+MANIFOLDS = ("poincare", "brieskorn_2_3_7", "s3")
 
 
 def digits(x: CyclotomicInt) -> tuple[int, ...]:
     return ohtsuki_expansion(x).a
+
+
+def nth_power(x: CyclotomicInt, n: int) -> CyclotomicInt:
+    """x^n for n >= 0 as an explicit product."""
+    out = CyclotomicInt.one(x.r)
+    for _ in range(n):
+        out = out * x
+    return out
 
 
 def reference_twist(x: CyclotomicInt, v: int) -> CyclotomicInt:
@@ -97,7 +105,7 @@ def _window(r: int, n: int) -> CyclotomicInt:
     term = _geometric(r, n)
     for k in range(n + 2, 2 * n + 2):
         term = term * make(r, [(0, 1), (k, -1)])
-        if term.is_zero:
+        if not any(term.coeffs):
             break
     return term
 
@@ -105,7 +113,7 @@ def _window(r: int, n: int) -> CyclotomicInt:
 def _reference_sum(r: int, front, terms: int) -> CyclotomicInt:
     return sum(
         (CyclotomicInt.power(r, front(n) % r) * _window(r, n) for n in range(terms)),
-        CyclotomicInt.zero(r),
+        make(r, ()),
     )
 
 
@@ -155,6 +163,21 @@ def test_corrupt_eichler_constant_fails_divisibility(monkeypatch, manifold: str,
     monkeypatch.setitem(EICHLER, manifold, corrupt)
     with pytest.raises(AssertionError, match="2Mr does not divide"):
         tau_for(manifold, 11)
+
+
+@pytest.mark.parametrize("r", [7, 11, 13, 17])
+@pytest.mark.parametrize(
+    "corrupt",
+    [((2, 3, 7), 1, -1, 0), ((2, 3, 11), 1, -1, 0), ((1, 3, 5), 1, -1, 0), ((3, 5, 7), 1, -1, 0),
+     ((2, 3, 5), 1, 0, 0), ((2, 3, 5), 1, -2, 0)],
+)
+def test_corrupt_eichler_constant_fails_division(monkeypatch, corrupt, r: int) -> None:
+    # these rows pass the 2Mr check, but 1 - xi dividing the quotient is an
+    # identity too, so its failure is a fault and not a ValueError, which
+    # the CLI would report as a computation error
+    monkeypatch.setitem(EICHLER, "poincare", corrupt)
+    with pytest.raises(AssertionError, match="1 - xi does not divide .* poincare at r = "):
+        tau_for("poincare", r)
 
 
 # collected congruence table: a1 = 6 for both manifolds at every good prime
@@ -279,7 +302,7 @@ def test_constructed_symmetric_element_is_admitted(data) -> None:
     r = 5
     y = make(r, enumerate(y_coeffs))
     z = make(r, enumerate(z_coeffs))
-    x = y + twist_conjugate(y, v) + z * r
+    x = y + twist_conjugate(y, v) + z * CyclotomicInt.from_int(r, r)
     rep = obstruction_test(x, r, A1)
     assert v in rep.admissible_v
     assert rep.verdict == "not_obstructed"
@@ -325,9 +348,9 @@ def test_obstruction_search_matches_brute_force_on_symmetric_elements(data) -> N
     # a_0 .. a_3, so the search reads the full digit table.  The search must
     # find exactly the twists the reference products admit
     r, y_coeffs, v, z_coeffs, j, zero = data
-    y = CyclotomicInt.zero(r) if zero else CyclotomicInt(r, tuple(y_coeffs))
-    x = y + reference_twist(y, v) + CyclotomicInt(r, tuple(z_coeffs)) * r
-    x = x * one_minus_xi(r) ** j
+    y = make(r, ()) if zero else CyclotomicInt(r, tuple(y_coeffs))
+    x = y + reference_twist(y, v) + CyclotomicInt(r, tuple(z_coeffs)) * CyclotomicInt.from_int(r, r)
+    x = x * nth_power(one_minus_xi(r), j)
     want = tuple(u for u in range(r) if divisible_by(x - reference_twist(x, u), r))
     if j % 2 == 0:
         assert (v + j) % r in want
@@ -411,7 +434,7 @@ def test_quotient_congruence_trivial_pair() -> None:
 
 def test_quotient_congruence_detects_constructed_cover() -> None:
     y = tau_poincare(5).value
-    xm = -(CyclotomicInt.power(5, 3)) * y**11
+    xm = -(CyclotomicInt.power(5, 3)) * nth_power(y, 11)
     found = quotient_congruence_test(xm, y, 11, 5)
     assert 3 in found
 
@@ -457,14 +480,51 @@ def test_quotient_congruence_matches_ideal_member(data) -> None:
     # gcd with the cyclotomic polynomial mod p
     r, m, m_prime, p = data
     x_m, y = tau_for(m, r).value, tau_for(m_prime, r).value
+    assert quotient_congruence_test(x_m, y, p, r) == shifts_by_ideal_member(x_m, y, p)
+
+
+def signed_shift(y: CyclotomicInt, u: int) -> CyclotomicInt:
+    """(-xi)^u y."""
+    shifted = CyclotomicInt.power(y.r, u) * y
+    return -shifted if u % 2 else shifted
+
+
+def shifts_by_ideal_member(x_m: CyclotomicInt, y: CyclotomicInt, p: int) -> tuple[int, ...]:
+    """Every u in [0, 2r) with x_m - (-xi)^u y^p in the ideal
+    (p, (xi+xi^-1)^p - (xi+xi^-1)), one ideal_member call per u."""
+    r = y.r
     half_trace = make(r, {1: 1, r - 1: 1})
-    gen = half_trace**p - half_trace
-    want = tuple(
-        u
-        for u in range(2 * r)
-        if ideal_member(x_m - (-1) ** u * CyclotomicInt.power(r, u) * y**p, p, gen)
+    gen = nth_power(half_trace, p) - half_trace
+    y_p = nth_power(y, p)
+    return tuple(u for u in range(2 * r) if ideal_member(x_m - signed_shift(y_p, u), p, gen))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([5, 7, 11, 13]).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.sampled_from([p for p in SMALL_PRIMES if p % r in (1, r - 1)]),
+            st.lists(st.integers(-50, 50), min_size=r - 1, max_size=r - 1),
+            st.integers(0, 2 * r - 1),
+            st.lists(st.integers(-3, 3), min_size=r - 1, max_size=r - 1),
+            st.booleans(),
+        )
     )
-    assert quotient_congruence_test(x_m, y, p, r) == want
+)
+def test_quotient_congruence_finds_planted_covers(data) -> None:
+    # x_m = (-xi)^u y^p + p z plants the shift u; with planted false, x_m is
+    # p z alone.  The constant-difference rule admits exactly the shifts
+    # that ideal membership admits
+    r, p, y_coeffs, u, z_coeffs, planted = data
+    y = CyclotomicInt(r, tuple(y_coeffs))
+    x_m = CyclotomicInt(r, tuple(z_coeffs)) * CyclotomicInt.from_int(r, p)
+    if planted:
+        x_m = x_m + signed_shift(nth_power(y, p), u)
+    found = quotient_congruence_test(x_m, y, p, r)
+    assert found == shifts_by_ideal_member(x_m, y, p)
+    if planted:
+        assert u in found
 
 
 # ---------------------------------------------------------------------------
