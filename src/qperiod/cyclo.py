@@ -100,9 +100,6 @@ class CyclotomicInt:
     def __neg__(self) -> CyclotomicInt:
         return CyclotomicInt(self.r, tuple(-a for a in self.coeffs))
 
-    def __sub__(self, other: CyclotomicInt) -> CyclotomicInt:
-        return self + (-other)
-
     def __mul__(self, other: CyclotomicInt) -> CyclotomicInt:
         self._check_same_ring(other)
         # Kronecker substitution: pack each factor's power-basis vector as

@@ -36,6 +36,7 @@ built.  Each periodicity check compares two Jones-type values modulo
 from __future__ import annotations
 
 import re
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -101,7 +102,8 @@ class PlanarDiagram:
     sign under the stored orientations.  components lists each link
     component as the cyclic sequence of its arcs in flow order; circles
     with no crossing appear as singleton components, and a component of
-    several arcs is refused unless it meets a crossing.
+    several arcs is refused unless it meets a crossing.  Two components
+    must cross an even number of times, as closed curves in the plane do.
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
@@ -127,6 +129,11 @@ class PlanarDiagram:
             if len(comp) > 1 and uses.keys().isdisjoint(comp):
                 arcs = " ".join(map(str, comp))
                 raise ValueError(f"component {arcs} meets no crossing; a free loop is one arc")
+        # two closed curves in the plane cross an even number of times
+        comp_of = {a: i for i, comp in enumerate(self.components) for a in comp}
+        meets = Counter(frozenset((comp_of[x[0]], comp_of[x[1]])) for x in self.crossings)
+        if any(n % 2 for pair, n in meets.items() if len(pair) == 2):
+            raise ValueError("odd inter-component crossing sum; diagram is malformed")
 
     @property
     def arcs(self) -> tuple[int, ...]:
@@ -285,45 +292,14 @@ def pd_text(d: PlanarDiagram) -> str:
 
 
 # ---------------------------------------------------------------------------
-# linking data
+# linking number
 
 
-@dataclass(frozen=True)
-class LinkingData:
-    """Symmetric linking matrix in the blackboard framing.
-
-    Diagonal entries are self-writhes; off-diagonal entries are pairwise
-    linking numbers.  total_lk_doubled is the sum of the entries above the
-    diagonal, which is twice the total linking number of the link.
-    """
-
-    matrix: tuple[tuple[int, ...], ...]
-    writhe: int
-    total_lk_doubled: int
-
-
-def linking_data(d: PlanarDiagram) -> LinkingData:
-    comp_of: dict[int, int] = {}
-    for ci, comp in enumerate(d.components):
-        for a in comp:
-            comp_of[a] = ci
-    m = len(d.components)
-    acc = [[0] * m for _ in range(m)]
-    for (a, bb, _c, _dd), s in zip(d.crossings, d.signs):
-        cu, co = comp_of[a], comp_of[bb]
-        if cu == co:
-            acc[cu][cu] += s
-        else:
-            acc[cu][co] += s
-            acc[co][cu] += s
-    total = sum(acc[i][j] for i in range(m) for j in range(i + 1, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                if acc[i][j] % 2:
-                    raise ValueError("odd inter-component crossing sum; diagram is malformed")
-                acc[i][j] //= 2
-    return LinkingData(tuple(tuple(row) for row in acc), sum(d.signs), total)
+def doubled_linking(d: PlanarDiagram) -> int:
+    """Twice the total linking number: the sum of the signs at the
+    crossings where two different components meet."""
+    comp_of = {a: i for i, comp in enumerate(d.components) for a in comp}
+    return sum(s for x, s in zip(d.crossings, d.signs) if comp_of[x[0]] != comp_of[x[1]])
 
 
 # ---------------------------------------------------------------------------
@@ -552,13 +528,13 @@ class CongruenceReport:
     rhs: HalfLaurent
     residual: HalfLaurent
 
-    def to_json(self, var: str = "t") -> dict:
+    def to_json(self) -> dict:
         return {
             "passed": self.passed,
             "p": self.p,
-            "lhs": poly_to_json(self.lhs, var),
-            "rhs": poly_to_json(self.rhs, var),
-            "residual": poly_to_json(self.residual, var),
+            "lhs": poly_to_json(self.lhs),
+            "rhs": poly_to_json(self.rhs),
+            "residual": poly_to_json(self.residual),
         }
 
 
@@ -602,12 +578,12 @@ def yokota_check(d: PlanarDiagram, p: int) -> CongruenceReport:
 
 def yokota_check_braid(b: BraidWord, p: int) -> CongruenceReport:
     """yokota_check for a braid closure; the one closure feeds both the
-    bracket and the linking data."""
+    bracket and the linking number."""
     require_period(p)
     d = closure(b)
     return _yokota(_bracket_to_jones(_contract(d), b.writhe), d, p)
 
 
 def _yokota(v: HalfLaurent, d: PlanarDiagram, p: int) -> CongruenceReport:
-    rhs = HalfLaurent.monomial(2 * linking_data(d).total_lk_doubled) * v.mirror()
+    rhs = HalfLaurent.monomial(2 * doubled_linking(d)) * v.mirror()
     return _congruence(v, rhs, p, HalfLaurent.from_dict({2 * p: 1, 0: -1}))  # t^p - 1

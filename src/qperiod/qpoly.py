@@ -2,8 +2,7 @@
 
 A term c * v^(k/2) is stored under the doubled exponent key k, so all keys
 are plain integers and arithmetic never touches floating point.  The same
-container serves polynomials in q, in t, and in the bracket variable; the
-variable name only matters at serialization time.
+container serves polynomials in q, in t, and in the bracket variable.
 
 Two substitutions matter downstream: mirroring (v -> 1/v, negate every
 exponent) and the sign-twisted inversion sqrt(q) -> -1/sqrt(t) that turns
@@ -19,8 +18,6 @@ the quotient and the remainder a faithful membership certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
-
 from .modular import encode_int, fp_rem, require_prime
 
 
@@ -35,20 +32,8 @@ class HalfLaurent:
     terms: tuple[tuple[int, int], ...] = ()
 
     @classmethod
-    def from_dict(cls, d: Mapping[int, int] | Iterable[tuple[int, int]]) -> HalfLaurent:
-        acc: dict[int, int] = {}
-        items = d.items() if isinstance(d, Mapping) else d
-        for k, c in items:
-            acc[k] = acc.get(k, 0) + c
-        return cls(tuple(sorted((k, c) for k, c in acc.items() if c)))
-
-    @classmethod
-    def zero(cls) -> HalfLaurent:
-        return cls(())
-
-    @classmethod
-    def one(cls) -> HalfLaurent:
-        return cls(((0, 1),))
+    def from_dict(cls, d: dict[int, int]) -> HalfLaurent:
+        return cls(tuple(sorted((k, c) for k, c in d.items() if c)))
 
     @classmethod
     def monomial(cls, k_doubled: int, coeff: int = 1) -> HalfLaurent:
@@ -75,30 +60,19 @@ class HalfLaurent:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: HalfLaurent | int) -> HalfLaurent:
-        if isinstance(other, int):
-            other = HalfLaurent.monomial(0, other)
+    def __add__(self, other: HalfLaurent) -> HalfLaurent:
         acc = dict(self.terms)
         for k, c in other.terms:
             acc[k] = acc.get(k, 0) + c
         return HalfLaurent.from_dict(acc)
 
-    __radd__ = __add__
-
     def __neg__(self) -> HalfLaurent:
         return HalfLaurent(tuple((k, -c) for k, c in self.terms))
 
-    def __sub__(self, other: HalfLaurent | int) -> HalfLaurent:
-        if isinstance(other, int):
-            other = HalfLaurent.monomial(0, other)
+    def __sub__(self, other: HalfLaurent) -> HalfLaurent:
         return self + (-other)
 
-    def __rsub__(self, other: int) -> HalfLaurent:
-        return HalfLaurent.monomial(0, other) - self
-
-    def __mul__(self, other: HalfLaurent | int) -> HalfLaurent:
-        if isinstance(other, int):
-            return HalfLaurent(tuple((k, c * other) for k, c in self.terms)) if other else HalfLaurent()
+    def __mul__(self, other: HalfLaurent) -> HalfLaurent:
         acc: dict[int, int] = {}
         for k1, c1 in self.terms:
             for k2, c2 in other.terms:
@@ -106,12 +80,10 @@ class HalfLaurent:
                 acc[k] = acc.get(k, 0) + c1 * c2
         return HalfLaurent.from_dict(acc)
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int) -> HalfLaurent:
         if n < 0:
             raise ValueError("negative powers are not closed here")
-        out = HalfLaurent.one()
+        out = HalfLaurent.monomial(0)
         base = self
         while n:
             if n & 1:
@@ -186,7 +158,7 @@ def reduce_mod(f: HalfLaurent, p: int, g: HalfLaurent) -> HalfLaurent:
         raise ValueError("generator trailing coefficient vanishes mod p; "
                          "clearing by a unit power is then unsound")
     if f.is_zero:
-        return HalfLaurent.zero()
+        return HalfLaurent()
     fv = _clear_to_fp_vector(f, p, max(0, -f.min_exp))
     rem = fp_rem(fv, gv, p)
     return HalfLaurent.from_dict({i: c for i, c in enumerate(rem) if c})
@@ -195,19 +167,19 @@ def reduce_mod(f: HalfLaurent, p: int, g: HalfLaurent) -> HalfLaurent:
 # ---------------------------------------------------------------------------
 # serialization
 
-def poly_text(f: HalfLaurent, var: str = "t") -> str:
-    """Render as a sorted sum of c*var^(e) tokens, half exponents as k/2."""
+def poly_text(f: HalfLaurent) -> str:
+    """Render as a sorted sum of c*t^(e) tokens, half exponents as k/2."""
     if f.is_zero:
         return "0"
     parts = []
     for k, c in f.terms:
         if k % 2 == 0:
-            parts.append(f"{c}*{var}^({k // 2})")
+            parts.append(f"{c}*t^({k // 2})")
         else:
-            parts.append(f"{c}*{var}^({k}/2)")
+            parts.append(f"{c}*t^({k}/2)")
     return " + ".join(parts)
 
 
-def poly_to_json(f: HalfLaurent, var: str = "t") -> dict:
-    return {"var": var, "terms": [[k, encode_int(c)] for k, c in f.terms]}
+def poly_to_json(f: HalfLaurent) -> dict:
+    return {"var": "t", "terms": [[k, encode_int(c)] for k, c in f.terms]}
 

@@ -233,7 +233,13 @@ def quotient_congruence_test(
     z^(p+1) = 1, so unless p = +-1 mod r the ideal is all of Z[xi] and
     every u passes.  If p = +-1 mod r the generator is 0 and the ideal is
     (p): u passes when the power-basis vectors of both sides differ mod p
-    by a constant vector, a multiple of 1 + xi + ... + xi^(r-1) = 0."""
+    by a constant vector, a multiple of 1 + xi + ... + xi^(r-1) = 0, that
+    is when their cyclic differences agree mod p.  The shift u rotates the
+    differences dy of sigma_p(x_m') by u and multiplies them by (-1)^u.
+    The differences dx of x_m sum to 0, so unless they vanish they are not
+    constant mod p, and r is prime, so their r rotations are distinct:
+    each sign admits at most one rotation, found by one string search of
+    the doubled +-dy, and its u in [0, 2r) is the one of that parity."""
     require_prime("p", p)
     if x_m.r != r or x_m_prime.r != r:
         raise ValueError("invariants live at the wrong root of unity")
@@ -242,15 +248,20 @@ def quotient_congruence_test(
     if p % r not in (1, r - 1):
         return tuple(range(2 * r))
     x, y = [*x_m.coeffs, 0], [*x_m_prime.galois(p).coeffs, 0]  # power basis
+    dx = [(x[(i + 1) % r] - x[i]) % p for i in range(r)]
+    dy = [(y[(i + 1) % r] - y[i]) % p for i in range(r)]
+    if not any(dx):
+        return () if any(dy) else tuple(range(2 * r))
     found = []
-    for u in range(2 * r):
-        # (-xi)^u sigma_p(x_m') has power-basis coordinates (-1)^u y[(i - u) mod r]
-        sign = -1 if u % 2 else 1
-        diffs = ((sign * y[(i - u) % r] - x[i]) % p for i in range(r))
-        first = next(diffs)
-        if all(d == first for d in diffs):
-            found.append(u)
-    return tuple(found)
+    pattern = "".join(f",{d}" for d in dx) + ","
+    for sign in (1, -1):
+        # dx[i] = sign dy[(i - s) mod r] puts dx at index -s of the doubled sign dy
+        text = "".join(f",{sign * d % p}" for d in dy * 2)
+        j = text.find(pattern)
+        if j >= 0:
+            s = -text.count(",", 0, j) % r
+            found.append(s if s % 2 == (sign < 0) else s + r)
+    return tuple(sorted(found))
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +281,15 @@ def discriminant_integers(manifold_id: str) -> tuple[tuple[int, ...], int, int]:
     """(c, v, delta) over Z: c_0 .. c_3 of P(q) = sum_{n<=3} q^f(n) W(n) at
     q = 1, v = -2 c_1 and delta = c_3(P) - c_3(q^v P(1/q)), which reduce mod
     any prime r >= 5 to the level-r digits, twist and defect."""
+    one = HalfLaurent.monomial(0)
     if manifold_id == "s3":
-        head = HalfLaurent.one()
+        head = one
     elif manifold_id in FRONT_EXPONENTS:
-        head = HalfLaurent.zero()
-        window = HalfLaurent.one()
+        head, window = HalfLaurent(), one
         for n in range(4):
             if n:  # W(n) = W(n-1)(1 + q^n)(1 - q^(2n+1))
-                window = window * (HalfLaurent.monomial(2 * n) + 1)
-                window = window * (1 - HalfLaurent.monomial(4 * n + 2))
+                window = window * (HalfLaurent.monomial(2 * n) + one)
+                window = window * (one - HalfLaurent.monomial(4 * n + 2))
             head = head + HalfLaurent.monomial(2 * FRONT_EXPONENTS[manifold_id](n)) * window
     else:
         raise InputError(f"unknown manifold {manifold_id!r}")
@@ -299,7 +310,6 @@ class DiscriminantReport:
     itself once M exceeds twice its size."""
 
     manifold_id: str
-    candidate_v_rule: str
     residues: tuple[tuple[int, int, int], ...]
     lifted: int
     factorization: tuple[tuple[int, int], ...]
@@ -307,7 +317,7 @@ class DiscriminantReport:
     def to_json(self) -> dict:
         return {
             "manifold": self.manifold_id,
-            "rule": self.candidate_v_rule,
+            "rule": CANDIDATE_V_RULE,
             "residues": [[r, v, delta] for r, v, delta in self.residues],
             "dropped": [],
             "lifted": encode_int(self.lifted),
@@ -333,4 +343,4 @@ def period_discriminant(manifold_id: str, primes) -> DiscriminantReport:
     if 2 * lifted > modulus:
         lifted -= modulus
     factors = factorize(abs(lifted)) if lifted else ()
-    return DiscriminantReport(manifold_id, CANDIDATE_V_RULE, rows, lifted, factors)
+    return DiscriminantReport(manifold_id, rows, lifted, factors)

@@ -27,7 +27,9 @@ the O(r^2) sum of windows W(n) that the Eichler sum of `tau` replaced,
 the contraction behind `linkdiag.kauffman_bracket` and
 `linkdiag.bracket_of_braid` replaced,
 `self_twists_by_rotation` the one-comparison-per-twist search that the
-digit rule in `tau` replaced, `crt_symmetric` the Chinese remaindering
+digit rule in `tau` replaced, `shifts_by_constant_difference` the
+one-comparison-per-shift loop that the rotation search of
+`tau.quotient_congruence_test` replaced, `crt_symmetric` the Chinese remaindering
 that `tau.period_discriminant` replaced by reducing one integer, and the two
 identity checks are facts about Z[T] and the eta moduli that the
 congruences rest on.  The small predicates below them (divisibility,
@@ -135,7 +137,7 @@ def binomial_expansion_identity(r: int) -> bool:
 def remark_identity_check(p: int) -> bool:
     """Verify (t + 1) eta_p(t) = q^(-p/2) ([2]^p - [2]) under
     sqrt(q) -> -1/sqrt(t), coefficientwise mod p."""
-    lhs = (HalfLaurent.monomial(2) + 1) * eta(p)
+    lhs = (HalfLaurent.monomial(2) + HalfLaurent.monomial(0)) * eta(p)
     two = quantum_integer(2)
     rhs = (HalfLaurent.monomial(-p) * (two**p - two)).substitute_neg_inv_sqrt()
     return coeffs_divisible_by(lhs - rhs, p)
@@ -330,7 +332,7 @@ def state_sum_bracket(d: PlanarDiagram) -> HalfLaurent:
                 union(idx[cc], idx[dd])
         key = (c - 2 * bin(state).count("1"), len({find(i) for i in range(len(arcs))}))
         counts[key] = counts.get(key, 0) + 1
-    out = HalfLaurent.zero()
+    out = HalfLaurent()
     for (a_exp, loops), mult in counts.items():
         out = out + HalfLaurent.monomial(2 * a_exp, mult) * LOOP_VALUE ** (loops - 1)
     return out
@@ -358,7 +360,7 @@ def transfer_bracket(b: BraidWord) -> HalfLaurent:
     joins top point i to bottom point i."""
     n = b.strands
     ident = tuple(list(range(n, 2 * n)) + list(range(n)))
-    states: dict[tuple[int, ...], HalfLaurent] = {ident: HalfLaurent.one()}
+    states: dict[tuple[int, ...], HalfLaurent] = {ident: HalfLaurent.monomial(0)}
     for w in b.letters:
         i = abs(w) - 1
         bi, bj = n + i, n + i + 1
@@ -376,7 +378,7 @@ def transfer_bracket(b: BraidWord) -> HalfLaurent:
             prev = nxt.get(m2)
             nxt[m2] = w_e if prev is None else prev + w_e
         states = {m: cf for m, cf in nxt.items() if not cf.is_zero}
-    out = HalfLaurent.zero()
+    out = HalfLaurent()
     for m, cf in states.items():
         seen = [False] * (2 * n)
         loops = 0
@@ -400,6 +402,25 @@ def self_twists_by_rotation(x: CyclotomicInt) -> tuple[int, ...]:
     r = x.r
     pv = [c % r for c in x.coeffs] + [0]
     return tuple(v for v in range(r) if pv[v::-1] + pv[:v:-1] == pv)
+
+
+def shifts_by_constant_difference(
+    x_m: CyclotomicInt, x_m_prime: CyclotomicInt, p: int
+) -> tuple[int, ...]:
+    """Every u in [0, 2r) with (-xi)^u sigma_p(x_m') - x_m a constant
+    power-basis vector mod p, one O(r) comparison per u, O(r^2) in all:
+    the shifts of the quotient congruence when p = +-1 mod r."""
+    r = x_m.r
+    x, y = [*x_m.coeffs, 0], [*x_m_prime.galois(p).coeffs, 0]
+    found = []
+    for u in range(2 * r):
+        # (-xi)^u sigma_p(x_m') has power-basis coordinates (-1)^u y[(i - u) mod r]
+        sign = -1 if u % 2 else 1
+        diffs = ((sign * y[(i - u) % r] - x[i]) % p for i in range(r))
+        first = next(diffs)
+        if all(d == first for d in diffs):
+            found.append(u)
+    return tuple(found)
 
 
 def crt_symmetric(pairs: list[tuple[int, int]]) -> int:

@@ -414,6 +414,19 @@ def test_jones_pd_component_of_arcs_at_no_crossing_is_computation_error(capsys, 
     assert err == "error: component 1 2 meets no crossing; a free loop is one arc\n"
 
 
+@pytest.mark.parametrize("command", [["jones"], ["yokota", "--p", "3"]])
+def test_pd_with_odd_crossings_between_components_is_refused(capsys, tmp_path, command) -> None:
+    # two closed curves in the plane cross an even number of times; these
+    # two components cross three times, so no planar diagram draws them
+    path = tmp_path / "odd.pd"
+    path.write_text(
+        "X(4,3,2,6)\nX(1,5,6,2)\nX(5,3,4,1)\ncomponent 1 6 3\ncomponent 5 4 2\n", encoding="utf-8"
+    )
+    code, out, err = run_cli(capsys, [*command, "--pd", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: odd inter-component crossing sum; diagram is malformed\n"
+
+
 def test_murasugi_pass_and_json(capsys) -> None:
     code, out, _ = run_cli(capsys, ["murasugi", "--braid", "strands 2 : 1", "--p", "3"])
     assert code == 0
@@ -641,16 +654,25 @@ def test_json_output_is_byte_identical(capsys, argv: list[str]) -> None:
     assert first == second
 
 
-def test_reproduce_tables_script_output_is_unchanged() -> None:
+def assert_script_output_is_unchanged(name: str) -> None:
+    """scripts/<name>.py exits 0 and prints tests/data/<name>.txt byte for byte."""
     proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "reproduce_tables.py")],
+        [sys.executable, os.path.join(ROOT, "scripts", f"{name}.py")],
         capture_output=True,
         env=SRC_ENV,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    with open(os.path.join(ROOT, "tests", "data", "reproduce_tables.txt"), "rb") as fh:
+    with open(os.path.join(ROOT, "tests", "data", f"{name}.txt"), "rb") as fh:
         assert proc.stdout == fh.read()
+
+
+def test_reproduce_tables_script_output_is_unchanged() -> None:
+    assert_script_output_is_unchanged("reproduce_tables")
+
+
+def test_gauss_survey_script_output_is_unchanged() -> None:
+    assert_script_output_is_unchanged("gauss_survey")
 
 
 def test_installed_entry_point() -> None:

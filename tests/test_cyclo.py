@@ -403,13 +403,13 @@ def half_trace_generator(r: int, p: int) -> CyclotomicInt:
     power = h
     for _ in range(p - 1):
         power = power * h
-    return power - h
+    return power + (-h)
 
 
 def test_ideal_member_trivial_cases():
     one, zero = CyclotomicInt.one(5), make(5, ())
     assert ideal_member(CyclotomicInt.from_int(5, 3), 3, zero)
-    assert ideal_member(one - one, 3, zero)
+    assert ideal_member(one + (-one), 3, zero)
     assert not ideal_member(one, 3, zero)
 
 

@@ -367,7 +367,7 @@ def signed_unknot(rs, r: int, sign: int) -> CyclotomicInt:
 
 def times_one_minus_xi_power(x: CyclotomicInt, e: int) -> CyclotomicInt:
     """x (1 - xi^e) by rotating coordinates, O(r)."""
-    return x - make(x.r, {i + e: c for i, c in enumerate(x.coeffs)})
+    return x + (-make(x.r, {i + e: c for i, c in enumerate(x.coeffs)}))
 
 
 @pytest.mark.parametrize("family,rank,r", [c for c in SWEEP if c[2] < 80])

@@ -3,6 +3,7 @@ move invariance, and the periodicity congruence checks."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -23,10 +24,10 @@ from qperiod.linkdiag import (
     WidthLimitError,
     bracket_of_braid,
     closure,
+    doubled_linking,
     jones,
     jones_of_braid,
     kauffman_bracket,
-    linking_data,
     murasugi_check,
     p2_check,
     parse_braid,
@@ -60,6 +61,15 @@ X(1,4,2,3)
 X(3,2,4,1)
 component 1 2
 component 3 4
+"""
+
+# every other PD rule holds, but the two components cross three times
+ODD_CROSSING_PD = """
+X(4,3,2,6)
+X(1,5,6,2)
+X(5,3,4,1)
+component 1 6 3
+component 5 4 2
 """
 
 
@@ -199,9 +209,9 @@ def test_braid_entry_points_bypass_the_pd_entry_point(monkeypatch):
 
 
 def test_jones_unknot_variants():
-    assert jones_of_braid(braid("strands 1 :")) == HalfLaurent.one()
-    assert jones_of_braid(braid("strands 2 : 1")) == HalfLaurent.one()
-    assert jones_of_braid(braid("strands 2 : -1")) == HalfLaurent.one()
+    assert jones_of_braid(braid("strands 1 :")) == HalfLaurent.monomial(0)
+    assert jones_of_braid(braid("strands 2 : 1")) == HalfLaurent.monomial(0)
+    assert jones_of_braid(braid("strands 2 : -1")) == HalfLaurent.monomial(0)
 
 
 def test_jones_trefoils():
@@ -273,10 +283,10 @@ def test_parse_pd_minimal_hopf():
 def test_parse_pd_kinks():
     neg = parse_pd("X(1,2,2,1)\ncomponent 1 2")
     assert neg.signs == (-1,)
-    assert jones(neg) == HalfLaurent.one()
+    assert jones(neg) == HalfLaurent.monomial(0)
     pos = parse_pd("X(1,1,2,2)\ncomponent 1 2")
     assert pos.signs == (1,)
-    assert jones(pos) == HalfLaurent.one()
+    assert jones(pos) == HalfLaurent.monomial(0)
 
 
 def test_pd_text_round_trip():
@@ -377,6 +387,7 @@ def test_bracket_matches_state_sum_on_relabelled_diagrams(pair, rng):
         ("component 1 1", "listed twice"),
         ("component 1 2", "component 1 2 meets no crossing"),
         (TREFOIL_PD + "component 7 8 9", "component 7 8 9 meets no crossing"),
+        (ODD_CROSSING_PD, "odd inter-component crossing sum"),
     ],
 )
 def test_parse_pd_rejects(text, message):
@@ -393,28 +404,31 @@ def test_diagram_validation():
         PlanarDiagram((), (), ((1,), (2, 3)))
 
 
+@given(braid_words(5, 10))
+@settings(max_examples=60, deadline=None)
+def test_braid_closures_cross_between_components_evenly(b):
+    # two closed curves in the plane cross an even number of times, so the
+    # closure of any braid passes the parity rule of the PD rules
+    d = closure(b)
+    comp_of = {a: i for i, comp in enumerate(d.components) for a in comp}
+    meets = Counter(frozenset((comp_of[x[0]], comp_of[x[1]])) for x in d.crossings)
+    assert all(n % 2 == 0 for pair, n in meets.items() if len(pair) == 2)
+
+
 # ---------------------------------------------------------------------------
-# linking data
+# linking number
 
 
 def test_linking_trefoil():
-    ld = linking_data(closure(braid("strands 2 : 1 1 1")))
-    assert ld.matrix == ((3,),)
-    assert ld.writhe == 3
-    assert ld.total_lk_doubled == 0
+    assert doubled_linking(closure(braid("strands 2 : 1 1 1"))) == 0
 
 
 def test_linking_hopf():
-    ld = linking_data(closure(braid("strands 2 : 1 1")))
-    assert ld.matrix == ((0, 1), (1, 0))
-    assert ld.writhe == 2
-    assert ld.total_lk_doubled == 2
+    assert doubled_linking(closure(braid("strands 2 : 1 1"))) == 2
 
 
 def test_linking_torus_two_four():
-    ld = linking_data(closure(braid("strands 2 : 1 1 1 1")))
-    assert ld.matrix == ((0, 2), (2, 0))
-    assert ld.total_lk_doubled == 4
+    assert doubled_linking(closure(braid("strands 2 : 1 1 1 1"))) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +436,7 @@ def test_linking_torus_two_four():
 
 
 def test_two_strand_invariant_of_unknot():
-    assert two_strand_invariant(HalfLaurent.one()) == quantum_integer(2)
+    assert two_strand_invariant(HalfLaurent.monomial(0)) == quantum_integer(2)
 
 
 def test_skein_relation_on_crossing_change():

@@ -11,7 +11,16 @@ refuses with InputError and main reports that.
 A use is a name, an attribute, an imported name, or one part of a dotted
 string such as perfbench's "cyclo.CyclotomicInt.power".  A module that
 binds a name itself, at its top level or in a class body, names its own
-binding: its uses of that name count for no other module."""
+binding: its uses of that name count for no other module.
+
+Every defaulted parameter of a package function or method is passed by
+some call in src/, scripts/ or perfbench/, by position or by keyword: a
+parameter that every caller leaves at its default is a knob with one
+value.  Calls are matched by the callee's name alone, a call that spreads
+*args or **kwargs passes every parameter, and a function's calls of its
+own name do not count.  So the guard is conservative: five classes
+define to_json, and one caller that passes an argument to any of them
+passes it for all five."""
 from __future__ import annotations
 
 import ast
@@ -99,6 +108,65 @@ def unused(package: dict[str, ast.Module], users: dict[str, ast.Module]) -> list
             own = range(node.lineno, node.end_lineno + 1)
             if all(line in own if p == path else shadowed for p, line, shadowed in used[name]):
                 missing.append(f"{Path(path).name}:{name}")
+    return missing
+
+
+def calls(tree: ast.AST) -> list[tuple[str, int, int, set[str], bool]]:
+    """(name, line, positional count, keywords, spread) for each call in
+    tree of a name or an attribute; spread is whether it passes *args or
+    **kwargs."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            keywords = {k.arg for k in node.keywords}
+            spread = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+            found.append((name, node.lineno, len(node.args), keywords, spread))
+    return found
+
+
+def defaulted(tree: ast.Module) -> list[tuple[str, ast.FunctionDef, str, int | None]]:
+    """(qualified name, definition, parameter, index among the arguments a
+    call passes, None for keyword-only) for each defaulted parameter of
+    each top-level function and method; a method's self or cls is no
+    argument of the call."""
+    functions = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions.append((node.name, node, 0))
+        elif isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in m.decorator_list)
+                    functions.append((f"{node.name}.{m.name}", m, 0 if static else 1))
+    found = []
+    for qualified, fn, skip in functions:
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        found += [(qualified, fn, arg.arg, i - skip) for i, arg in enumerate(positional) if i >= first]
+        found += [(qualified, fn, arg.arg, None)
+                  for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+    return found
+
+
+def unset(package: dict[str, ast.Module], users: dict[str, ast.Module]) -> list[str]:
+    """'file:function(parameter)' for each defaulted parameter in package
+    that no call of the function's name in users passes, outside the
+    function's own lines."""
+    shapes = defaultdict(list)
+    for path, tree in users.items():
+        for name, line, count, keywords, spread in calls(tree):
+            shapes[name].append((path, line, count, keywords, spread))
+    missing = []
+    for path, tree in package.items():
+        for qualified, fn, param, index in defaulted(tree):
+            own = range(fn.lineno, fn.end_lineno + 1)
+            if not any(
+                spread or param in keywords or (index is not None and count > index)
+                for p, line, count, keywords, spread in shapes[fn.name]
+                if not (p == path and line in own)
+            ):
+                missing.append(f"{Path(path).name}:{qualified}({param})")
     return missing
 
 
@@ -213,3 +281,43 @@ def test_guard_counts_public_constants(user, verdict):
     source = "LIMIT = 2\nROWS: tuple = ()\n_CACHE = {}\n"
     package = {"mod.py": ast.parse(source)}
     assert unused(package, package | {"user.py": ast.parse(user)}) == verdict
+
+
+def test_every_defaulted_parameter_is_passed():
+    assert unset(parse(PACKAGE), parse(USERS)) == []
+
+
+KNOBS = """\
+def scale(x, factor=2, *, unit="t"):
+    return scale(x, factor + 1, unit=unit) if x else factor
+
+class Box:
+    def size(self, unit=1):
+        return unit
+
+    @staticmethod
+    def build(n=0):
+        return Box()
+"""
+ALL_KNOBS = ["mod.py:scale(factor)", "mod.py:scale(unit)", "mod.py:Box.size(unit)", "mod.py:Box.build(n)"]
+
+
+@pytest.mark.parametrize(
+    "user, verdict",
+    [
+        ("", ALL_KNOBS),
+        ("scale(1, 3)", ALL_KNOBS[1:]),
+        ("mod.scale(1, unit='q')", [ALL_KNOBS[0], *ALL_KNOBS[2:]]),
+        ("scale(1)\nscale(x=1, factor=2)", ALL_KNOBS[1:]),
+        ("args = (1, 2)\nscale(*args)", ALL_KNOBS[2:]),
+        ("scale(1, **{'unit': 'q'})", ALL_KNOBS[2:]),
+        ("Box().size()", ALL_KNOBS),
+        ("Box().size(2)", ALL_KNOBS[:2] + ALL_KNOBS[3:]),
+        ("Box.build(1)", ALL_KNOBS[:3]),
+        ("Box.build()\nx.size(unit=3)", ALL_KNOBS[:2] + ALL_KNOBS[3:]),
+    ],
+)
+def test_guard_finds_each_unset_parameter(user, verdict):
+    # scale's call of itself passes both of its knobs but counts for neither
+    package = {"mod.py": ast.parse(KNOBS)}
+    assert unset(package, package | {"user.py": ast.parse(user)}) == verdict

@@ -16,6 +16,7 @@ from oracles import (
     level_discriminant_row,
     one_minus_xi,
     self_twists_by_rotation,
+    shifts_by_constant_difference,
     window_tau_sum,
 )
 from qperiod.cyclo import CyclotomicInt, make, ohtsuki_expansion, twist_conjugate
@@ -351,7 +352,7 @@ def test_obstruction_search_matches_brute_force_on_symmetric_elements(data) -> N
     y = make(r, ()) if zero else CyclotomicInt(r, tuple(y_coeffs))
     x = y + reference_twist(y, v) + CyclotomicInt(r, tuple(z_coeffs)) * CyclotomicInt.from_int(r, r)
     x = x * nth_power(one_minus_xi(r), j)
-    want = tuple(u for u in range(r) if divisible_by(x - reference_twist(x, u), r))
+    want = tuple(u for u in range(r) if divisible_by(x + (-reference_twist(x, u)), r))
     if j % 2 == 0:
         assert (v + j) % r in want
     assert obstruction_test(x, r, A1).admissible_v == want == self_twists_by_rotation(x)
@@ -363,7 +364,7 @@ def test_obstruction_matches_brute_force_search(r: int, manifold: str) -> None:
     # the re-indexed search finds exactly the twists that the Z[xi]
     # products of the reference admit
     x = tau_for(manifold, r).value
-    want = tuple(v for v in range(r) if divisible_by(x - reference_twist(x, v), r))
+    want = tuple(v for v in range(r) if divisible_by(x + (-reference_twist(x, v)), r))
     assert obstruction_test(x, r, A1).admissible_v == want
 
 
@@ -494,9 +495,9 @@ def shifts_by_ideal_member(x_m: CyclotomicInt, y: CyclotomicInt, p: int) -> tupl
     (p, (xi+xi^-1)^p - (xi+xi^-1)), one ideal_member call per u."""
     r = y.r
     half_trace = make(r, {1: 1, r - 1: 1})
-    gen = nth_power(half_trace, p) - half_trace
+    gen = nth_power(half_trace, p) + (-half_trace)
     y_p = nth_power(y, p)
-    return tuple(u for u in range(2 * r) if ideal_member(x_m - signed_shift(y_p, u), p, gen))
+    return tuple(u for u in range(2 * r) if ideal_member(x_m + (-signed_shift(y_p, u)), p, gen))
 
 
 @settings(max_examples=60, deadline=None)
@@ -524,6 +525,41 @@ def test_quotient_congruence_finds_planted_covers(data) -> None:
     found = quotient_congruence_test(x_m, y, p, r)
     assert found == shifts_by_ideal_member(x_m, y, p)
     if planted:
+        assert u in found
+
+
+COVER_LEVELS = [r for r in range(3, 80) if is_prime(r)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(COVER_LEVELS).flatmap(
+        lambda r: st.tuples(
+            st.just(r),
+            st.sampled_from([p for p in range(3, 2000) if is_prime(p) and p % r in (1, r - 1)]),
+            st.lists(st.integers(-50, 50), min_size=r - 1, max_size=r - 1),
+            st.lists(st.integers(-50, 50), min_size=r - 1, max_size=r - 1),
+            st.integers(0, 2 * r - 1),
+            st.sampled_from(["planted", "random", "x zero", "y zero", "both zero"]),
+        )
+    )
+)
+@example((5, 11, [0] * 4, [0] * 4, 0, "random"))
+@example((7, 13, [1, 0, 0, 0, 0, 0], [2] * 6, 3, "planted"))
+def test_quotient_congruence_matches_the_shift_loop(data) -> None:
+    # planted: x_m = (-xi)^u sigma_p(y) + p z; random: x_m = z; a zero
+    # side is p times its random element
+    r, p, y_coeffs, z_coeffs, u, kind = data
+    y, z = CyclotomicInt(r, tuple(y_coeffs)), CyclotomicInt(r, tuple(z_coeffs))
+    p_times = CyclotomicInt.from_int(r, p)
+    x_m = z * p_times if kind in ("x zero", "both zero") else z
+    if kind == "planted":
+        x_m = signed_shift(y.galois(p), u) + z * p_times
+    if kind in ("y zero", "both zero"):
+        y = y * p_times
+    found = quotient_congruence_test(x_m, y, p, r)
+    assert found == shifts_by_constant_difference(x_m, y, p)
+    if kind in ("planted", "both zero"):
         assert u in found
 
 
