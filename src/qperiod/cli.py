@@ -18,7 +18,10 @@ first, so every refusal comes before the work it guards.
 JSON output (--json) is the scripting contract: field order is fixed, so
 identical inputs produce byte-identical bytes, and integers that do not
 fit exactly in a double travel as decimal strings.  The default table
-output is for humans and aligns coefficient columns.
+output is for humans and aligns coefficient columns.  Every JSON field
+and text line is built here, next to each other in the row's function;
+the library returns plain results, and `qpoly.poly_to_json` is the one
+serializer shared with it.
 
 Exit codes: 0 success (a failed congruence is still a successful check),
 2 usage error (bad flags, an InputError from the library, an input over a
@@ -33,13 +36,13 @@ import sys
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .cyclo import require_depth
+from .cyclo import CyclotomicInt, require_depth
 from .liedata import build_root_system, constants, gauss_report, require_level
 from .linkdiag import (
     closure, jones, murasugi_check, parse_braid, parse_pd, require_period, yokota_check,
 )
-from .modular import InputError
-from .qpoly import poly_text, poly_to_json
+from .modular import InputError, encode_int
+from .qpoly import HalfLaurent, poly_to_json
 from .tau import coeff_table, obstruction_test, period_discriminant, require_manifold_level, tau_for
 
 MANIFOLD_IDS = {"poincare": "poincare", "brieskorn237": "brieskorn_2_3_7", "s3": "s3"}
@@ -48,6 +51,11 @@ MANIFOLD_IDS = {"poincare": "poincare", "brieskorn237": "brieskorn_2_3_7", "s3":
 # coset in all with Python 3.11 on one core of a shared Xeon, so the default
 # allows some 1.1 to 1.4 s of work
 GAUSS_MAX_COSETS = 200_000
+
+CANDIDATE_V_RULE = (
+    "v = -2*a1/a0 mod r, the unique twist matching the first-order rule "
+    "a1(xi^v * conj(x)) = -a1(x) - v*a0(x)"
+)
 
 # what a row's function returns: the JSON report, and its text lines,
 # rendered only for table output
@@ -65,6 +73,22 @@ def aligned(header: tuple[str, ...], rows) -> list[str]:
 def factor_text(factorization) -> str:
     """Prime-power pairs as 'p^e * q * ...', empty for no factors."""
     return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factorization)
+
+
+def cyclo_json(x: CyclotomicInt) -> dict:
+    return {"r": x.r, "coeffs": [encode_int(c) for c in x.coeffs]}
+
+
+def cyclo_text(x: CyclotomicInt) -> str:
+    """The nonzero canonical coordinates as a sum of c, c*xi and c*xi^i tokens."""
+    powers = ["", "*xi"] + [f"*xi^{i}" for i in range(2, x.r - 1)]
+    return " + ".join(f"{c}{power}" for c, power in zip(x.coeffs, powers) if c) or "0"
+
+
+def poly_text(f: HalfLaurent) -> str:
+    """Render as a sorted sum of c*t^(e) tokens, half exponents as k/2."""
+    tokens = (f"{c}*t^({k // 2})" if k % 2 == 0 else f"{c}*t^({k}/2)" for k, c in f.terms)
+    return " + ".join(tokens) or "0"
 
 
 def _depth(args, mid: str, default: int) -> int:
@@ -97,13 +121,20 @@ def _load_link(args):
     return parse_pd(text)
 
 
-def _congruence(name: str, p: int, rep) -> Report:
+def _congruence(name: str, rep) -> Report:
     def text() -> list[str]:
         if rep.passed:
-            return [f"{name} p={p} PASS"]
-        return [f"{name} p={p} FAIL", f"residual {poly_text(rep.residual)}"]
+            return [f"{name} p={rep.p} PASS"]
+        return [f"{name} p={rep.p} FAIL", f"residual {poly_text(rep.residual)}"]
 
-    return rep.to_json(), text
+    report = {
+        "passed": rep.passed,
+        "p": rep.p,
+        "lhs": poly_to_json(rep.lhs),
+        "rhs": poly_to_json(rep.rhs),
+        "residual": poly_to_json(rep.residual),
+    }
+    return report, text
 
 
 # ---------------------------------------------------------------------------
@@ -113,12 +144,18 @@ def _congruence(name: str, p: int, rep) -> Report:
 def _tau(args) -> Report:
     mid = MANIFOLD_IDS[args.manifold]
     depth = _depth(args, mid, min(3, args.r - 2))
-    value = tau_for(mid, args.r)
-    rows = coeff_table(value.value, depth)
-    return value.to_json() | {"a": [[n, a] for n, a in rows]}, lambda: [
+    value = tau_for(mid, args.r).value
+    rows = coeff_table(value, depth)
+    report = {
+        "manifold": mid,
+        "r": args.r,
+        "value": cyclo_json(value),
+        "a": [[n, a] for n, a in rows],
+    }
+    return report, lambda: [
         f"manifold {mid}",
         f"r {args.r}",
-        f"value {value.value}",
+        f"value {cyclo_text(value)}",
         *aligned(("n", "a_n"), rows),
     ]
 
@@ -128,7 +165,14 @@ def _obstruct(args) -> Report:
     require_manifold_level(mid, args.r)  # before --type and --rank
     rs = build_root_system(args.type, args.rank)
     rep = obstruction_test(tau_for(mid, args.r).value, args.r, rs)
-    return rep.to_json(mid), lambda: [
+    report = {
+        "manifold": mid,
+        "r": args.r,
+        "verdict": rep.verdict,
+        "admissible_v": list(rep.admissible_v),
+        "a": [[n, a] for n, a in rep.a_table],
+    }
+    return report, lambda: [
         f"manifold {mid}",
         f"r {args.r}",
         f"verdict {rep.verdict}",
@@ -148,7 +192,15 @@ def _discriminant(args) -> Report:
         return [f"manifold {mid}", *aligned(("r", "v", "delta"), rep.residues),
                 f"lifted {rep.lifted}", f"factors {factors}"]
 
-    return rep.to_json(), text
+    report = {
+        "manifold": mid,
+        "rule": CANDIDATE_V_RULE,
+        "residues": [[r, v, delta] for r, v, delta in rep.residues],
+        "dropped": [],
+        "lifted": encode_int(rep.lifted),
+        "factors": [[p, e] for p, e in rep.factorization],
+    }
+    return report, text
 
 
 def _ohtsuki(args) -> Report:
@@ -166,12 +218,12 @@ def _jones(args) -> Report:
 
 def _murasugi(args) -> Report:
     require_period(args.p)  # before the braid is parsed
-    return _congruence("murasugi", args.p, murasugi_check(parse_braid(args.braid), args.p))
+    return _congruence("murasugi", murasugi_check(parse_braid(args.braid), args.p))
 
 
 def _yokota(args) -> Report:
     require_period(args.p)  # before the link is loaded
-    return _congruence("yokota", args.p, yokota_check(_load_link(args), args.p))
+    return _congruence("yokota", yokota_check(_load_link(args), args.p))
 
 
 def _gauss(args) -> Report:
@@ -184,11 +236,21 @@ def _gauss(args) -> Report:
             f"{args.max_cosets}; raise it with --max-cosets"
         )
     rep = gauss_report(rs, args.r)
-    return rep.to_json(), lambda: [
+    report = {
+        "type": rep.family,
+        "rank": rep.rank,
+        "r": rep.r,
+        "gamma": cyclo_json(rep.gamma),
+        "ker": rep.ker_size,
+        "magnitude_ok": rep.magnitude_ok,
+        "ratio_ok": rep.ratio_ok,
+        "omega": rep.omega_sign,
+    }
+    return report, lambda: [
         f"type {rep.family}",
         f"rank {rep.rank}",
         f"r {rep.r}",
-        f"gamma {rep.gamma}",
+        f"gamma {cyclo_text(rep.gamma)}",
         f"ker {rep.ker_size}",
         f"group {rep.group_size}",
         f"magnitude_ok {rep.magnitude_ok}",

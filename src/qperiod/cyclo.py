@@ -28,8 +28,8 @@ on the power basis xi^0 .. xi^(r-1): one running sum.
 
 One re-indexing, `twist_conjugate`, gives the twisted conjugate
 xi^v conj(x) in O(r): the conjugation obstruction x = xi^v conj(x) of
-`tau` and the ratio law gamma = +-(-1)^N xi^(S-E) conj(gamma) of
-`liedata` both read it.
+`tau`, and the magnitude law gamma conj(gamma) = r^l and the ratio law
+gamma = +-(-1)^N xi^(S-E) conj(gamma) of `liedata` all read it.
 """
 from __future__ import annotations
 
@@ -39,7 +39,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterable, Mapping
 
-from .modular import InputError, encode_int, require_prime
+from .modular import InputError, require_prime
 
 
 class NotDivisibleError(ValueError):
@@ -125,23 +125,6 @@ class CyclotomicInt:
         if j % self.r == 0:
             raise ValueError("galois exponent must be nonzero mod r")
         return make(self.r, {(i * j) % self.r: c for i, c in enumerate(self.coeffs)})
-
-    def conjugate(self) -> CyclotomicInt:
-        """Complex conjugation, xi -> xi^(r-1)."""
-        return self.galois(self.r - 1)
-
-    def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*xi")
-            else:
-                parts.append(f"{c}*xi^{i}")
-        return " + ".join(parts) if parts else "0"
 
 
 def _nonnegative_powers(x: CyclotomicInt) -> list[int]:
@@ -250,11 +233,4 @@ def ohtsuki_expansion(x: CyclotomicInt) -> OhtsukiExpansion:
         cur[0] -= digits[-1]
         cur = divide_power_vector(cur)
     return OhtsukiExpansion(r, tuple(digits), CyclotomicInt(r, tuple(cur[:-1])))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def cyclo_to_json(x: CyclotomicInt) -> dict:
-    return {"r": x.r, "coeffs": [encode_int(c) for c in x.coeffs]}
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import gcd, lcm
 from typing import ClassVar
 
-from .cyclo import CyclotomicInt, cyclo_to_json, twist_conjugate
+from .cyclo import CyclotomicInt, twist_conjugate
 from .modular import InputError, is_prime, require_prime
 
 RANK_CAPS = {"A": (1, 6), "B": (2, 5), "C": (2, 5), "D": (4, 5), "F": (4, 4), "G": (2, 2)}
@@ -249,7 +249,7 @@ def verify_gauss_magnitude(rs: RootSystem, r: int) -> bool:
     For prime r > d*h_dual the Gram form is nondegenerate mod r, so
     gamma never vanishes."""
     gamma = gauss_sum(rs, r)
-    return gamma * gamma.conjugate() == CyclotomicInt.from_int(r, r**rs.rank)
+    return gamma * twist_conjugate(gamma, 0) == CyclotomicInt.from_int(r, r**rs.rank)
 
 
 def verify_ratio(rs: RootSystem, r: int) -> tuple[bool, int]:
@@ -309,18 +309,6 @@ class GaussReport:
     def group_size(self) -> int:
         """r^rank, the number of root-lattice cosets."""
         return self.r**self.rank
-
-    def to_json(self) -> dict:
-        return {
-            "type": self.family,
-            "rank": self.rank,
-            "r": self.r,
-            "gamma": cyclo_to_json(self.gamma),
-            "ker": self.ker_size,
-            "magnitude_ok": self.magnitude_ok,
-            "ratio_ok": self.ratio_ok,
-            "omega": self.omega_sign,
-        }
 
 
 def gauss_report(rs: RootSystem, r: int) -> GaussReport:

@@ -41,7 +41,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .modular import InputError, require_prime
-from .qpoly import HalfLaurent, eta, poly_to_json, quantum_integer, reduce_mod
+from .qpoly import HalfLaurent, eta, quantum_integer, reduce_mod
 
 # A boundary of w arcs carries up to Catalan(w/2) matchings, about 4x more
 # per two arcs.  At width 18 the 84-crossing closure of the 9-strand word
@@ -82,7 +82,7 @@ class BraidWord:
 
 def parse_braid(text: str) -> BraidWord:
     """Parse 'strands N : w1 w2 ...'; an empty letter list is allowed."""
-    m = re.fullmatch(r"\s*strands\s+(\d+)\s*:\s*((?:-?\d+\s*)*)", text)
+    m = re.fullmatch(r"\s*strands\s+(\d+)\s*:\s*((?:-?\d+(?:\s+|$))*)", text)
     if not m:
         raise InputError(f"cannot parse braid {text!r}; expected 'strands N : w1 w2 ...'")
     strands = int(m.group(1))
@@ -527,15 +527,6 @@ class CongruenceReport:
     lhs: HalfLaurent
     rhs: HalfLaurent
     residual: HalfLaurent
-
-    def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "p": self.p,
-            "lhs": poly_to_json(self.lhs),
-            "rhs": poly_to_json(self.rhs),
-            "residual": poly_to_json(self.residual),
-        }
 
 
 def require_period(p: int) -> None:

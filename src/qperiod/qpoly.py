@@ -108,9 +108,6 @@ class HalfLaurent:
             {-k: (-c if k % 2 else c) for k, c in self.terms}
         )
 
-    def __str__(self) -> str:
-        return poly_text(self)
-
 
 def quantum_integer(n: int) -> HalfLaurent:
     """[n] = (q^(n/2) - q^(-n/2)) / (q^(1/2) - q^(-1/2)), the balanced
@@ -166,19 +163,6 @@ def reduce_mod(f: HalfLaurent, p: int, g: HalfLaurent) -> HalfLaurent:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def poly_text(f: HalfLaurent) -> str:
-    """Render as a sorted sum of c*t^(e) tokens, half exponents as k/2."""
-    if f.is_zero:
-        return "0"
-    parts = []
-    for k, c in f.terms:
-        if k % 2 == 0:
-            parts.append(f"{c}*t^({k // 2})")
-        else:
-            parts.append(f"{c}*t^({k}/2)")
-    return " + ".join(parts)
-
 
 def poly_to_json(f: HalfLaurent) -> dict:
     return {"var": "t", "terms": [[k, encode_int(c)] for k, c in f.terms]}

@@ -39,9 +39,9 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial, prod
 
-from .cyclo import CyclotomicInt, cyclo_to_json, divide_power_vector, ohtsuki_digits
+from .cyclo import CyclotomicInt, divide_power_vector, ohtsuki_digits
 from .liedata import RootSystem, admissible_r, build_root_system
-from .modular import InputError, encode_int, factorize, is_prime_argument, require_prime
+from .modular import InputError, factorize, is_prime_argument, require_prime
 from .qpoly import HalfLaurent
 
 # the front exponent f(n) of each closed-form invariant sum_n xi^f(n) W(n)
@@ -49,21 +49,12 @@ FRONT_EXPONENTS = {"poincare": lambda n: n, "brieskorn_2_3_7": lambda n: -n * (n
 # (p1, p2, p3), a, b, c of each Eichler identity xi^a (1 - xi) tau = b - S / (2Mr)
 EICHLER = {"poincare": ((2, 3, 5), 1, -1, 0), "brieskorn_2_3_7": ((2, 3, 7), 0, 0, 1)}
 
-CANDIDATE_V_RULE = (
-    "v = -2*a1/a0 mod r, the unique twist matching the first-order rule "
-    "a1(xi^v * conj(x)) = -a1(x) - v*a0(x)"
-)
-
 
 @dataclass(frozen=True)
 class TauValue:
     """One manifold invariant at one prime level."""
 
-    manifold_id: str
     value: CyclotomicInt
-
-    def to_json(self) -> dict:
-        return {"manifold": self.manifold_id, "r": self.value.r, "value": cyclo_to_json(self.value)}
 
 
 def require_manifold_level(manifold_id: str, r: int) -> None:
@@ -103,19 +94,19 @@ def _eichler_tau(manifold_id: str, r: int) -> CyclotomicInt:
 def tau_poincare(r: int) -> TauValue:
     """Invariant of the Poincare sphere (-1 surgery on the left trefoil)."""
     require_manifold_level("poincare", r)
-    return TauValue("poincare", _eichler_tau("poincare", r))
+    return TauValue(_eichler_tau("poincare", r))
 
 
 def tau_brieskorn237(r: int) -> TauValue:
     """Invariant of the Brieskorn sphere Sigma(2,3,7)."""
     require_manifold_level("brieskorn_2_3_7", r)
-    return TauValue("brieskorn_2_3_7", _eichler_tau("brieskorn_2_3_7", r))
+    return TauValue(_eichler_tau("brieskorn_2_3_7", r))
 
 
 def tau_s3(r: int) -> TauValue:
     """Normalization baseline: the empty surgery has invariant 1."""
     require_manifold_level("s3", r)
-    return TauValue("s3", CyclotomicInt.one(r))
+    return TauValue(CyclotomicInt.one(r))
 
 
 def tau_for(manifold_id: str, r: int) -> TauValue:
@@ -182,19 +173,9 @@ class ObstructionReport:
     coefficient rows of x itself.
     """
 
-    r: int
     admissible_v: tuple[int, ...]
     a_table: tuple[tuple[int, int], ...]
     verdict: str
-
-    def to_json(self, manifold: str) -> dict:
-        return {
-            "manifold": manifold,
-            "r": self.r,
-            "verdict": self.verdict,
-            "admissible_v": [int(v) for v in self.admissible_v],
-            "a": [[n, a] for n, a in self.a_table],
-        }
 
 
 def obstruction_test(x: CyclotomicInt, r: int, rs: RootSystem | None = None) -> ObstructionReport:
@@ -210,7 +191,7 @@ def obstruction_test(x: CyclotomicInt, r: int, rs: RootSystem | None = None) -> 
         verdict = "not_obstructed"
     else:
         verdict = "obstructed"
-    return ObstructionReport(r, found, table, verdict)
+    return ObstructionReport(found, table, verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +290,9 @@ class DiscriminantReport:
     reduced into (-M/2, M/2], M the product of the levels: the defect
     itself once M exceeds twice its size."""
 
-    manifold_id: str
     residues: tuple[tuple[int, int, int], ...]
     lifted: int
     factorization: tuple[tuple[int, int], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "manifold": self.manifold_id,
-            "rule": CANDIDATE_V_RULE,
-            "residues": [[r, v, delta] for r, v, delta in self.residues],
-            "dropped": [],
-            "lifted": encode_int(self.lifted),
-            "factors": [[p, e] for p, e in self.factorization],
-        }
 
 
 def period_discriminant(manifold_id: str, primes) -> DiscriminantReport:
@@ -343,4 +313,4 @@ def period_discriminant(manifold_id: str, primes) -> DiscriminantReport:
     if 2 * lifted > modulus:
         lifted -= modulus
     factors = factorize(abs(lifted)) if lifted else ()
-    return DiscriminantReport(manifold_id, rows, lifted, factors)
+    return DiscriminantReport(rows, lifted, factors)

@@ -209,7 +209,7 @@ def f_unknot(rs: RootSystem, r: int) -> CyclotomicInt:
 def mirror_unknot(rs: RootSystem, r: int) -> CyclotomicInt:
     """conj(gamma) over prod(1 - xi^-(beta|rho)) over the positive roots
     beta, one exact division per root."""
-    quotient = gauss_sum(rs, r).conjugate()
+    quotient = twist_conjugate(gauss_sum(rs, r), 0)
     for beta in rs.positive_roots:
         quotient = twisted_division(quotient, -rs.rho_pairing(beta))
     return quotient

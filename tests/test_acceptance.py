@@ -13,7 +13,8 @@ from oracles import (
     reconstruct,
     remark_identity_check,
 )
-from qperiod.cyclo import CyclotomicInt, cyclo_to_json, make, ohtsuki_expansion, twist_conjugate
+from qperiod.cli import cyclo_json
+from qperiod.cyclo import CyclotomicInt, make, ohtsuki_expansion, twist_conjugate
 from qperiod.liedata import build_root_system, gauss_sum, verify_ratio
 from qperiod.linkdiag import (
     BraidWord,
@@ -167,7 +168,7 @@ def _c10() -> None:
             assert a * b == b * a
             assert a * (b + c) == a * b + a * c
             assert reconstruct(ohtsuki_expansion(a)) == a
-            obj = json.loads(json.dumps(cyclo_to_json(a)))
+            obj = json.loads(json.dumps(cyclo_json(a)))
             assert make(obj["r"], enumerate(int(c) for c in obj["coeffs"])) == a
     for r in (3, 5, 7, 11, 13):
         assert binomial_expansion_identity(r), f"binomial identity r={r}"

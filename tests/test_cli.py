@@ -18,8 +18,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qperiod import cli, cyclo, liedata, tau
-from qperiod.cli import GAUSS_MAX_COSETS, main
-from qperiod.cyclo import CyclotomicInt, cyclo_to_json, ohtsuki_digits
+from qperiod.cli import GAUSS_MAX_COSETS, cyclo_json, main
+from qperiod.cyclo import CyclotomicInt, ohtsuki_digits
 from qperiod.liedata import build_root_system, gauss_report, gauss_sum
 from qperiod.linkdiag import (
     BOUNDARY_WIDTH_CAP,
@@ -147,7 +147,14 @@ def test_obstruct_unsupported_system_is_usage_error(capsys) -> None:
 def test_obstruct_json_reparses_into_report(capsys) -> None:
     _, out, _ = run_cli(capsys, ["obstruct", "--manifold", "brieskorn237", "--r", "7", "--json"])
     obj = json.loads(out)
-    assert obj == obstruction_test(tau_for("brieskorn_2_3_7", 7).value, 7).to_json("brieskorn_2_3_7")
+    rep = obstruction_test(tau_for("brieskorn_2_3_7", 7).value, 7)
+    assert obj == {
+        "manifold": "brieskorn_2_3_7",
+        "r": 7,
+        "verdict": rep.verdict,
+        "admissible_v": list(rep.admissible_v),
+        "a": [list(row) for row in rep.a_table],
+    }
     assert obj["verdict"] == "not_obstructed"
     assert obj["admissible_v"] == [2]
     assert obj["r"] == 7
@@ -169,7 +176,7 @@ def test_tau_json_round_trip(capsys) -> None:
     assert code == 0
     obj = json.loads(out)
     assert obj["manifold"] == "poincare"
-    assert obj["value"] == cyclo_to_json(tau_for("poincare", 5).value)
+    assert obj["value"] == cyclo_json(tau_for("poincare", 5).value)
     assert obj["value"]["coeffs"] == [1, 2, 2, 1]
     assert obj["a"] == [[0, 1], [1, 1], [2, 0], [3, 4]]
 
@@ -228,7 +235,15 @@ def test_discriminant_poincare_json(capsys) -> None:
     obj = json.loads(out)
     assert obj["lifted"] == 480
     assert obj["factors"] == [[2, 5], [3, 1], [5, 1]]
-    assert obj == period_discriminant("poincare", [7, 11, 13, 17]).to_json()
+    rep = period_discriminant("poincare", [7, 11, 13, 17])
+    assert obj == {
+        "manifold": "poincare",
+        "rule": cli.CANDIDATE_V_RULE,
+        "residues": [list(row) for row in rep.residues],
+        "dropped": [],
+        "lifted": rep.lifted,
+        "factors": [list(pe) for pe in rep.factorization],
+    }
 
 
 def test_discriminant_brieskorn_table(capsys) -> None:
@@ -433,7 +448,14 @@ def test_murasugi_pass_and_json(capsys) -> None:
     assert "murasugi p=3 PASS" in out
     code, out, _ = run_cli(capsys, ["murasugi", "--braid", "strands 2 : 1", "--p", "3", "--json"])
     assert code == 0
-    assert json.loads(out) == murasugi_check(parse_braid("strands 2 : 1"), 3).to_json()
+    rep = murasugi_check(parse_braid("strands 2 : 1"), 3)
+    assert json.loads(out) == {
+        "passed": rep.passed,
+        "p": rep.p,
+        "lhs": poly_to_json(rep.lhs),
+        "rhs": poly_to_json(rep.rhs),
+        "residual": poly_to_json(rep.residual),
+    }
 
 
 @pytest.mark.parametrize("p, needle", [(4, "must be prime"), (2, "odd prime")])
@@ -469,7 +491,17 @@ def test_gauss_report_round_trip(capsys) -> None:
     code, out, _ = run_cli(capsys, ["gauss", "--type", "A", "--rank", "1", "--r", "5", "--json"])
     assert code == 0
     obj = json.loads(out)
-    assert obj == gauss_report(build_root_system("A", 1), 5).to_json()
+    rep = gauss_report(build_root_system("A", 1), 5)
+    assert obj == {
+        "type": rep.family,
+        "rank": rep.rank,
+        "r": rep.r,
+        "gamma": cyclo_json(rep.gamma),
+        "ker": rep.ker_size,
+        "magnitude_ok": rep.magnitude_ok,
+        "ratio_ok": rep.ratio_ok,
+        "omega": rep.omega_sign,
+    }
     assert obj["magnitude_ok"] and obj["ratio_ok"] and obj["omega"] in (1, -1)
 
 
@@ -784,6 +816,16 @@ def pd_texts(draw) -> str:
 def test_fuzz_braid_commands_exit_cleanly(command, braid, p, as_json):
     argv = [command, "--braid", braid] + (["--p", p] if command != "jones" else [])
     assert exit_code(argv + ["--json"] * as_json) in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.from_regex(r"strands [0-9]{1,2} :[ 0-9-]{0,20}", fullmatch=True))
+@example("strands 2 : 1-1")
+@example("strands 3 : 1 2-1")
+def test_braid_text_is_read_or_refused(braid):
+    # letters run together once slipped past the braid pattern into int(),
+    # an exit 1; every text is a braid word or a usage error
+    assert exit_code(["jones", "--braid", braid]) in (0, 2)
 
 
 def over_only_two_arc_component(d) -> bool:

@@ -101,6 +101,8 @@ CASES = [
     "jones --pd {pd}/figure8.pd --json",
     "jones --braid 'two strands'",
     "jones --braid 'strands 2 : 3'",
+    # letters run together are no braid word
+    "jones --braid 'strands 2 : 1-1'",
     "jones",
     "jones --braid 'strands 2 : 1' --pd {pd}/trefoil.pd",
     "jones --pd {pd}/absent.pd",

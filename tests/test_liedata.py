@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import json
 import random
 from fractions import Fraction
 from math import lcm
@@ -27,6 +28,7 @@ from oracles import (
     pairing,
     solve_linear,
 )
+from qperiod.cli import main
 from qperiod.cyclo import CyclotomicInt, make, twist_conjugate
 from qperiod.liedata import (
     RANK_CAPS,
@@ -278,7 +280,7 @@ def test_f_unknot_sign_is_conjugation():
         value_p = complex_eval(f_unknot(rs, r))
         value_m = complex_eval(mirror_unknot(rs, r))
         assert abs(value_m - value_p.conjugate()) < 1e-9
-        assert mirror_unknot(rs, r) == f_unknot(rs, r).conjugate()
+        assert mirror_unknot(rs, r) == twist_conjugate(f_unknot(rs, r), 0)
 
 
 def test_f_unknot_fraction_consistency():
@@ -361,8 +363,8 @@ def signed_unknot(rs, r: int, sign: int) -> CyclotomicInt:
     num = f_unknot(rs, r)
     if sign == 1:
         return num
-    assert num.conjugate() == mirror_unknot(rs, r)
-    return num.conjugate()
+    assert twist_conjugate(num, 0) == mirror_unknot(rs, r)
+    return twist_conjugate(num, 0)
 
 
 def times_one_minus_xi_power(x: CyclotomicInt, e: int) -> CyclotomicInt:
@@ -379,7 +381,7 @@ def test_f_unknot_matches_euclid_reference(family, rank, r, sign):
         den = den * make(r, {0: 1, e: -1})
     gamma = gauss_sum(rs, r)
     num = signed_unknot(rs, r, sign)
-    assert num == euclid_quotient(gamma if sign == 1 else gamma.conjugate(), den)
+    assert num == euclid_quotient(gamma if sign == 1 else twist_conjugate(gamma, 0), den)
 
 
 @pytest.mark.parametrize("family,rank", ALL_SYSTEMS)
@@ -391,7 +393,7 @@ def test_f_unknot_times_denominator_is_gamma(family, rank):
         if r > 1000:
             break
         gamma = gauss_sum(rs, r)
-        for sign, want in ((1, gamma), (-1, gamma.conjugate())):
+        for sign, want in ((1, gamma), (-1, twist_conjugate(gamma, 0))):
             num = signed_unknot(rs, r, sign)
             for e in unknot_factors(rs, sign):
                 num = times_one_minus_xi_power(num, e)
@@ -521,7 +523,7 @@ def test_ratio_rule_matches_the_chain_on_perturbed_sums(monkeypatch, family, ran
     shifted = [CyclotomicInt.power(r, k) * gamma for k in (0, 1, 2, r - 1)]
     perturbed = shifted + [-x for x in shifted]
     verdicts = []
-    for fake in (*perturbed, gamma.conjugate()):
+    for fake in (*perturbed, twist_conjugate(gamma, 0)):
         feed_gauss_sum(monkeypatch, fake)
         verdicts.append(verify_ratio(rs, r))
         assert verdicts[-1] == chain_verdict(rs, r)
@@ -543,13 +545,14 @@ def test_admissible_r_examples():
     assert not admissible_r(a1, 9)
 
 
-def test_gauss_report_json():
-    report = gauss_report(build_root_system("A", 1), 5)
-    obj = report.to_json()
-    assert set(obj) == {"type", "rank", "r", "gamma", "ker", "magnitude_ok", "ratio_ok", "omega"}
+def test_gauss_report_json(capsys):
+    assert main(["gauss", "--type", "A", "--rank", "1", "--r", "5", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert list(obj) == ["type", "rank", "r", "gamma", "ker", "magnitude_ok", "ratio_ok", "omega"]
     assert obj["type"] == "A" and obj["rank"] == 1 and obj["r"] == 5
     assert obj["ker"] == 1 and obj["magnitude_ok"] is True and obj["ratio_ok"] is True
     assert obj["omega"] in (1, -1)
+    report = gauss_report(build_root_system("A", 1), 5)
     assert isinstance(report, GaussReport)
     assert report.group_size == 5
 

@@ -2,6 +2,7 @@
 move invariance, and the periodicity congruence checks."""
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 
@@ -17,6 +18,7 @@ from oracles import (
     transfer_bracket,
 )
 from qperiod import linkdiag
+from qperiod.cli import main
 from qperiod.linkdiag import (
     BOUNDARY_WIDTH_CAP,
     BraidWord,
@@ -37,6 +39,7 @@ from qperiod.linkdiag import (
     yokota_check,
     yokota_check_braid,
 )
+from qperiod.modular import InputError
 from qperiod.qpoly import HalfLaurent, quantum_integer
 
 H = HalfLaurent.from_dict
@@ -95,15 +98,20 @@ def test_parse_braid():
     b = braid("strands 3 : 1 -2 1")
     assert b.strands == 3 and b.letters == (1, -2, 1)
     assert parse_braid("strands 2 :").letters == ()
+    assert parse_braid("strands 2 :1").letters == parse_braid("strands 2 : 1 ").letters == (1,)
     assert b.writhe == 1
 
 
 @pytest.mark.parametrize(
     "text",
-    ["strands 3 : 3", "strands 2 : 0", "strands 0 :", "3 : 1", "strands 2 , 1"],
+    [
+        "strands 3 : 3", "strands 2 : 0", "strands 0 :", "3 : 1", "strands 2 , 1",
+        # letters run together
+        "strands 2 : 1-1", "strands 3 : 1 2-1",
+    ],
 )
 def test_parse_braid_rejects(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         parse_braid(text)
 
 
@@ -510,8 +518,8 @@ def test_yokota_rejects_even_period():
         yokota_check_braid(braid("strands 2 : 1 1 1"), 2)
 
 
-def test_report_json():
-    report = murasugi_check(braid("strands 2 : 1"), 3)
-    obj = report.to_json()
+def test_report_json(capsys):
+    assert main(["murasugi", "--braid", "strands 2 : 1", "--p", "3", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
     assert obj["passed"] is True and obj["p"] == 3
-    assert set(obj) == {"passed", "p", "lhs", "rhs", "residual"}
+    assert list(obj) == ["passed", "p", "lhs", "rhs", "residual"]

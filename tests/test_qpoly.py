@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import congruent_mod, remark_identity_check
+from qperiod.cli import poly_text
 from qperiod.qpoly import (
     HalfLaurent,
     eta,
-    poly_text,
     poly_to_json,
     quantum_integer,
     reduce_mod,

@@ -7,6 +7,10 @@ sibling needs is public, and so checked for a use like every public name.
 The CLI holds no argument rule of its own: it names no is_prime, and it
 turns no library ValueError into a usage error by hand, since the library
 refuses with InputError and main reports that.
+The output format lives in cli.py, which builds every JSON field and text
+line: no class of the package defines to_json, and no module but
+modular.py, qpoly.py and cli.py names encode_int, since
+qpoly.poly_to_json is the one serializer that the library keeps.
 
 A use is a name, an attribute, an imported name, or one part of a dotted
 string such as perfbench's "cyclo.CyclotomicInt.power".  A module that
@@ -18,9 +22,9 @@ some call in src/, scripts/ or perfbench/, by position or by keyword: a
 parameter that every caller leaves at its default is a knob with one
 value.  Calls are matched by the callee's name alone, a call that spreads
 *args or **kwargs passes every parameter, and a function's calls of its
-own name do not count.  So the guard is conservative: five classes
-define to_json, and one caller that passes an argument to any of them
-passes it for all five."""
+own name do not count.  So the guard is conservative: one caller that
+passes an argument to a method passes it for every method of that
+name."""
 from __future__ import annotations
 
 import ast
@@ -36,6 +40,9 @@ USERS = sorted(
     path for top in ("src", "scripts", "perfbench") for path in (ROOT / top).rglob("*.py")
 )
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
+# the modules that may name encode_int: its own, and those of the two
+# serializers, qpoly.poly_to_json and the CLI
+SERIALIZERS = {"modular.py", "qpoly.py", "cli.py"}
 
 
 def bindings(body: list[ast.stmt]) -> list[tuple[str, ast.stmt]]:
@@ -204,6 +211,42 @@ def cli_argument_rules(tree: ast.Module) -> list[str]:
             ):
                 found.append(f"{node.lineno}: except ValueError -> .error(")
     return found
+
+
+def report_formats(package: dict[str, ast.Module]) -> list[str]:
+    """'file:Class.to_json' for each class in package that defines
+    to_json, and 'file:encode_int' for each module outside SERIALIZERS
+    that names encode_int."""
+    found = []
+    for path, tree in package.items():
+        name = Path(path).name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                found += [f"{name}:{node.name}.to_json" for m in node.body
+                          if isinstance(m, ast.FunctionDef) and m.name == "to_json"]
+        if name not in SERIALIZERS and any(used == "encode_int" for used, _ in uses(tree)):
+            found.append(f"{name}:encode_int")
+    return found
+
+
+def test_only_the_cli_writes_reports():
+    assert report_formats(parse(PACKAGE)) == []
+
+
+@pytest.mark.parametrize(
+    "name, source, verdict",
+    [
+        ("tau.py", "class Report:\n    def to_json(self):\n        return {}", ["tau.py:Report.to_json"]),
+        ("cli.py", "class Row:\n    def to_json(self):\n        return {}", ["cli.py:Row.to_json"]),
+        ("cyclo.py", "from .modular import encode_int", ["cyclo.py:encode_int"]),
+        ("tau.py", "lifted = modular.encode_int(n)", ["tau.py:encode_int"]),
+        ("cli.py", "from .modular import encode_int", []),
+        ("qpoly.py", "def poly_to_json(f):\n    return [encode_int(c) for c in f]", []),
+        ("tau.py", "def to_json(x):\n    return {}", []),
+    ],
+)
+def test_report_format_guard(name, source, verdict):
+    assert report_formats({name: ast.parse(source)}) == verdict
 
 
 def test_cli_holds_no_argument_rule():

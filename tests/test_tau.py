@@ -3,6 +3,7 @@ discriminant lift, pinned against hand-checked small cases and collected
 congruence tables."""
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -19,6 +20,7 @@ from oracles import (
     shifts_by_constant_difference,
     window_tau_sum,
 )
+from qperiod.cli import main
 from qperiod.cyclo import CyclotomicInt, make, ohtsuki_expansion, twist_conjugate
 from qperiod.liedata import build_root_system
 from qperiod.tau import (
@@ -57,8 +59,9 @@ def nth_power(x: CyclotomicInt, n: int) -> CyclotomicInt:
 
 def reference_twist(x: CyclotomicInt, v: int) -> CyclotomicInt:
     """xi^v conj(x) as a Z[xi] product: the multiply that twist_conjugate's
-    re-indexing replaced, kept as its reference."""
-    return CyclotomicInt.power(x.r, v % x.r) * x.conjugate()
+    re-indexing replaced, kept as its reference; conj is the Galois map
+    xi -> xi^(r-1), so the reference shares no code with twist_conjugate."""
+    return CyclotomicInt.power(x.r, v % x.r) * x.galois(x.r - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +89,7 @@ def test_tau_rejects_bad_level(r: int) -> None:
 def test_tau_for_dispatch() -> None:
     assert tau_for("poincare", 5).value == tau_poincare(5).value
     assert tau_for("brieskorn_2_3_7", 5).value == tau_brieskorn237(5).value
-    assert tau_for("s3", 5).manifold_id == "s3"
+    assert tau_for("s3", 5).value == tau_s3(5).value == CyclotomicInt.one(5)
     with pytest.raises(ValueError, match="unknown manifold"):
         tau_for("lens_5_1", 5)
 
@@ -278,10 +281,10 @@ def test_obstruction_ring_mismatch() -> None:
         obstruction_test(CyclotomicInt.one(5), 7, A1)
 
 
-def test_obstruction_json_shape() -> None:
-    rep = obstruction_test(tau_poincare(7).value, 7, A1)
-    obj = rep.to_json("poincare")
-    assert set(obj) == {"manifold", "r", "verdict", "admissible_v", "a"}
+def test_obstruction_json_shape(capsys) -> None:
+    assert main(["obstruct", "--manifold", "poincare", "--r", "7", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert list(obj) == ["manifold", "r", "verdict", "admissible_v", "a"]
     assert obj["verdict"] == "obstructed"
     assert obj["a"][0] == [0, 1]
 
@@ -622,7 +625,6 @@ def test_poincare_discriminant() -> None:
     assert rep.lifted == 480
     assert rep.factorization == ((2, 5), (3, 1), (5, 1))
     assert [(r, d) for r, _, d in rep.residues] == [(7, 4), (11, 7), (13, 12), (17, 4)]
-    assert rep.to_json()["dropped"] == []
     assert time.monotonic() - start < 5.0
 
 
@@ -700,9 +702,11 @@ def test_discriminant_level_validation() -> None:
         period_discriminant("poincare", [])
 
 
-def test_discriminant_json_shape() -> None:
-    obj = period_discriminant("poincare", [7, 11, 13, 17]).to_json()
-    assert set(obj) == {"manifold", "rule", "residues", "dropped", "lifted", "factors"}
+def test_discriminant_json_shape(capsys) -> None:
+    assert main(["discriminant", "--manifold", "poincare", "--primes", "7,11,13,17", "--json"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert list(obj) == ["manifold", "rule", "residues", "dropped", "lifted", "factors"]
+    assert obj["dropped"] == []
     assert obj["lifted"] == 480
     assert obj["factors"] == [[2, 5], [3, 1], [5, 1]]
     assert isinstance(obj, dict) and isinstance(obj["residues"][0], list)
