@@ -24,10 +24,9 @@ re-indexing with `cyclo.twist_conjugate` and no division.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
-from typing import ClassVar
+from typing import NamedTuple
 
 from .cyclo import CyclotomicInt, twist_conjugate
 from .modular import InputError, is_prime, require_prime
@@ -69,25 +68,24 @@ def _cartan_and_symmetrizers(family: str, rank: int) -> tuple[list[list[int]], l
     return a, d
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple("RootSystem", [
+    ("family", str), ("rank", int), ("cartan", tuple[tuple[int, ...], ...]), ("d", tuple[int, ...]),
+    ("positive_roots", tuple[tuple[int, ...], ...]), ("two_rho", tuple[int, ...]),
+])):
     """Simple root system with the symmetrized invariant form."""
 
-    family: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    d: tuple[int, ...]
-    positive_roots: tuple[tuple[int, ...], ...]
-    two_rho: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        l = self.rank
+    def __new__(cls, family: str, rank: int, cartan: tuple[tuple[int, ...], ...], d: tuple[int, ...],
+                positive_roots: tuple[tuple[int, ...], ...], two_rho: tuple[int, ...]) -> RootSystem:
+        self = super().__new__(cls, family, rank, cartan, d, positive_roots, two_rho)
+        l = rank
         for i in range(l):
             for j in range(l):
-                if self.d[i] * self.cartan[i][j] != self.d[j] * self.cartan[j][i]:
+                if d[i] * cartan[i][j] != d[j] * cartan[j][i]:
                     raise ValueError("symmetrized Cartan matrix is not symmetric")
         simple = {tuple(1 * (k == i) for k in range(l)) for i in range(l)}
-        roots = set(self.positive_roots)
+        roots = set(positive_roots)
         if not simple <= roots:
             raise ValueError("simple roots missing from the positive roots")
         for beta in roots:
@@ -95,8 +93,9 @@ class RootSystem:
                 raise ValueError("positive root with a negative coordinate")
         for i in range(l):
             e_i = tuple(1 * (k == i) for k in range(l))
-            if self.bilinear(self.two_rho, e_i) != 2 * self.d[i]:
+            if self.bilinear(two_rho, e_i) != 2 * d[i]:
                 raise ValueError("(rho|alpha_i) = d_i violated")
+        return self
 
     def bilinear(self, x, y):
         """(x|y) for coordinate vectors in the simple-root basis."""
@@ -137,8 +136,7 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     return RootSystem(family, rank, tuple(tuple(row) for row in a), tuple(d), positive, two_rho)
 
 
-@dataclass(frozen=True)
-class LieConstants:
+class LieConstants(NamedTuple):
     """d = max symmetrizer, D = weight-form denominator bound, Coxeter and
     dual Coxeter numbers, |X/Y|, and the Weyl group order."""
 
@@ -289,13 +287,13 @@ def admissible_r(rs: RootSystem, r: int) -> bool:
     return r > cs.d * cs.h_dual and gcd(r, cs.det_cartan * cs.weyl_order) == 1
 
 
-@dataclass(frozen=True, slots=True)
-class GaussReport:
+class GaussReport(NamedTuple):
     """Summary of the Gauss-sum checks for one (root system, r) pair."""
 
     # gauss_report admits only r > d*h_dual, which exceeds every prime
-    # factor (at most 7) of the Gram determinant prod(d_i) det A: no kernel
-    ker_size: ClassVar[int] = 1
+    # factor (at most 7) of the Gram determinant prod(d_i) det A: no kernel;
+    # a class attribute, not a field, since it carries no annotation
+    ker_size = 1
 
     family: str
     rank: int

@@ -38,7 +38,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .modular import InputError, require_prime
 from .qpoly import HalfLaurent, eta, quantum_integer, reduce_mod
@@ -51,6 +51,13 @@ from .qpoly import HalfLaurent, eta, quantum_integer, reduce_mod
 # twice its strand count, so the cap admits braids on about 9 strands.
 BOUNDARY_WIDTH_CAP = 18
 
+# A strand that no letter touches closes into a free loop, which the width
+# cap does not see, and each loop multiplies the bracket by delta, a
+# product that grows with every loop, so the cost is about quadratic in
+# the strand count.  jones on N free strands took 0.3 / 1.3 / 7.0 s at
+# N = 1,000 / 2,000 / 4,000 with Python 3.11 on a shared 2-CPU sandbox.
+STRANDS_CAP = 1000
+
 
 class WidthLimitError(InputError):
     """Bracket refused: the contraction's open boundary would be wider
@@ -61,19 +68,20 @@ class WidthLimitError(InputError):
 # braid words
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(NamedTuple("BraidWord", [("strands", int), ("letters", tuple[int, ...])])):
     """A word in the braid group: letters +-i act on positions i, i+1."""
 
-    strands: int
-    letters: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.strands < 1:
+    def __new__(cls, strands: int, letters: tuple[int, ...]) -> BraidWord:
+        if strands < 1:
             raise InputError("braid needs at least one strand")
-        for w in self.letters:
-            if w == 0 or abs(w) >= self.strands:
-                raise InputError(f"letter {w} invalid for {self.strands} strands")
+        if strands > STRANDS_CAP:
+            raise InputError(f"braid has {strands} strands, more than the cap of {STRANDS_CAP}")
+        for w in letters:
+            if w == 0 or abs(w) >= strands:
+                raise InputError(f"letter {w} invalid for {strands} strands")
+        return super().__new__(cls, strands, letters)
 
     @property
     def writhe(self) -> int:
@@ -85,8 +93,11 @@ def parse_braid(text: str) -> BraidWord:
     m = re.fullmatch(r"\s*strands\s+(\d+)\s*:\s*((?:-?\d+(?:\s+|$))*)", text)
     if not m:
         raise InputError(f"cannot parse braid {text!r}; expected 'strands N : w1 w2 ...'")
-    strands = int(m.group(1))
-    letters = tuple(int(tok) for tok in m.group(2).split())
+    try:
+        strands = int(m.group(1))
+        letters = tuple(int(tok) for tok in m.group(2).split())
+    except ValueError:  # the pattern admits only digits: this is int()'s digit limit
+        raise InputError("cannot parse braid: a number has more digits than int() reads") from None
     return BraidWord(strands, letters)
 
 
@@ -94,8 +105,10 @@ def parse_braid(text: str) -> BraidWord:
 # planar diagrams
 
 
-@dataclass(frozen=True)
-class PlanarDiagram:
+class PlanarDiagram(NamedTuple("PlanarDiagram", [
+    ("crossings", tuple[tuple[int, int, int, int], ...]), ("signs", tuple[int, ...]),
+    ("components", tuple[tuple[int, ...], ...]),
+])):
     """An oriented link diagram.
 
     crossings[k] is the X(a, b, c, d) tuple of crossing k and signs[k] its
@@ -106,34 +119,34 @@ class PlanarDiagram:
     must cross an even number of times, as closed curves in the plane do.
     """
 
-    crossings: tuple[tuple[int, int, int, int], ...]
-    signs: tuple[int, ...]
-    components: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.signs) != len(self.crossings):
+    def __new__(cls, crossings: tuple[tuple[int, int, int, int], ...], signs: tuple[int, ...],
+                components: tuple[tuple[int, ...], ...]) -> PlanarDiagram:
+        if len(signs) != len(crossings):
             raise ValueError("one sign per crossing required")
-        if not self.components:
+        if not components:
             raise ValueError("diagram needs at least one component")
-        _check_crossings(self.crossings, _successors(self.components))
+        _check_crossings(crossings, _successors(components))
         uses: dict[int, int] = {}
-        for x in self.crossings:
+        for x in crossings:
             for a in x:
                 uses[a] = uses.get(a, 0) + 1
         for a, n in uses.items():
             if n != 2:
                 raise ValueError(f"arc {a} must appear exactly twice at crossings, saw {n}")
-        for comp in self.components:
+        for comp in components:
             if len(comp) == 1 and comp[0] in uses:
                 raise ValueError(f"arc {comp[0]} cannot both cross and close a free loop")
             if len(comp) > 1 and uses.keys().isdisjoint(comp):
                 arcs = " ".join(map(str, comp))
                 raise ValueError(f"component {arcs} meets no crossing; a free loop is one arc")
         # two closed curves in the plane cross an even number of times
-        comp_of = {a: i for i, comp in enumerate(self.components) for a in comp}
-        meets = Counter(frozenset((comp_of[x[0]], comp_of[x[1]])) for x in self.crossings)
+        comp_of = {a: i for i, comp in enumerate(components) for a in comp}
+        meets = Counter(frozenset((comp_of[x[0]], comp_of[x[1]])) for x in crossings)
         if any(n % 2 for pair, n in meets.items() if len(pair) == 2):
             raise ValueError("odd inter-component crossing sum; diagram is malformed")
+        return super().__new__(cls, crossings, signs, components)
 
     @property
     def arcs(self) -> tuple[int, ...]:
@@ -518,8 +531,7 @@ def two_strand_invariant(v_jones: HalfLaurent) -> HalfLaurent:
 # periodicity congruence checks
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Outcome of one congruence test mod (p, generator)."""
 
     passed: bool

@@ -17,12 +17,12 @@ the quotient and the remainder a faithful membership certificate.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
 from .modular import encode_int, fp_rem, require_prime
 
 
-@dataclass(frozen=True)
-class HalfLaurent:
+class HalfLaurent(NamedTuple):
     """Immutable sparse Laurent polynomial with doubled-exponent keys.
 
     terms is sorted by exponent and stores no zero coefficients, so equal
@@ -79,6 +79,9 @@ class HalfLaurent:
                 k = k1 + k2
                 acc[k] = acc.get(k, 0) + c1 * c2
         return HalfLaurent.from_dict(acc)
+
+    def __rmul__(self, other: object) -> object:
+        return NotImplemented  # an int operand is refused, not a tuple repetition
 
     def __pow__(self, n: int) -> HalfLaurent:
         if n < 0:

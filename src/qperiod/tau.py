@@ -35,9 +35,9 @@ the one integer defect, so the lift needs no Chinese remaindering.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import factorial, prod
+from typing import NamedTuple
 
 from .cyclo import CyclotomicInt, divide_power_vector, ohtsuki_digits
 from .liedata import RootSystem, admissible_r, build_root_system
@@ -48,10 +48,13 @@ from .qpoly import HalfLaurent
 FRONT_EXPONENTS = {"poincare": lambda n: n, "brieskorn_2_3_7": lambda n: -n * (n + 2)}
 # (p1, p2, p3), a, b, c of each Eichler identity xi^a (1 - xi) tau = b - S / (2Mr)
 EICHLER = {"poincare": ((2, 3, 5), 1, -1, 0), "brieskorn_2_3_7": ((2, 3, 7), 0, 0, 1)}
+# A level costs O(r) time and memory, and tau prints r - 1 coordinates: the
+# tau command took 0.5 s at r = 99,991 and printed 1.4 MB, and 6.2 s and
+# 16 MB at r = 1,000,003, with Python 3.11 on a shared 2-CPU sandbox
+LEVEL_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class TauValue:
+class TauValue(NamedTuple):
     """One manifold invariant at one prime level."""
 
     value: CyclotomicInt
@@ -59,13 +62,12 @@ class TauValue:
 
 def require_manifold_level(manifold_id: str, r: int) -> None:
     """Refuse r unless it is a level for the manifold: an odd prime for
-    s3, a prime above d*h_dual = 4 for the others."""
-    if manifold_id == "s3":
-        require_prime("r", r, odd=True)
-        return
-    require_prime("r", r)
-    if r <= 4:
+    s3, a prime above d*h_dual = 4 for the others, and at most LEVEL_CAP."""
+    require_prime("r", r, odd=manifold_id == "s3")
+    if manifold_id != "s3" and r <= 4:
         raise InputError(f"r = {r} must exceed d*h_dual = 4 for sl2")
+    if r > LEVEL_CAP:
+        raise InputError(f"r = {r} exceeds the level cap of {LEVEL_CAP}")
 
 
 def _character(ps: tuple[int, ...]) -> dict[int, int]:
@@ -164,8 +166,7 @@ def _self_twists(x: CyclotomicInt, head: tuple[int, ...]) -> tuple[int, ...]:
 # the conjugation obstruction
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
+class ObstructionReport(NamedTuple):
     """The twists v in [0, r) with x = xi^v * conj(x) mod r.
 
     An empty admissible_v set at an admissible level r rules out
@@ -279,8 +280,7 @@ def discriminant_integers(manifold_id: str) -> tuple[tuple[int, ...], int, int]:
     return c, v, c[3] - _taylor_at_one(HalfLaurent.monomial(2 * v) * head.mirror())[3]
 
 
-@dataclass(frozen=True)
-class DiscriminantReport:
+class DiscriminantReport(NamedTuple):
     """Per-prime twisted-conjugate defects and their lift to an integer.
 
     Any admissible prime period of the manifold must divide `lifted`;

@@ -23,6 +23,7 @@ from qperiod.cyclo import CyclotomicInt, ohtsuki_digits
 from qperiod.liedata import build_root_system, gauss_report, gauss_sum
 from qperiod.linkdiag import (
     BOUNDARY_WIDTH_CAP,
+    STRANDS_CAP,
     BraidWord,
     WidthLimitError,
     closure,
@@ -282,12 +283,12 @@ def test_discriminant_at_large_levels_is_immediate(capsys) -> None:
 
 
 def test_out_of_memory_is_computation_error(capsys, monkeypatch) -> None:
-    # a level whose Z[xi] elements cannot be allocated
+    # an allocation that fails inside the library, at a level under the cap
     def exhausted(manifold, r):
         raise MemoryError
 
     monkeypatch.setattr(cli, "tau_for", exhausted)
-    code, out, err = run_cli(capsys, ["tau", "--manifold", "s3", "--r", "6768176633"])
+    code, out, err = run_cli(capsys, ["tau", "--manifold", "s3", "--r", "99991"])
     assert (code, out, err) == (1, "", "error: out of memory\n")
 
 
@@ -380,6 +381,48 @@ def test_jones_pd_with_sixty_crossings_is_fast(capsys, tmp_path) -> None:
     assert stdout_digest(capsys, ["jones", "--pd", str(path), "--json"]) == (
         "f1701c7fcf9bfad21c7c06fa64551086ffecb1d49d291ee54b0be65591aa3b37"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("tau --manifold poincare --r 1000000007",
+         f"r = 1000000007 exceeds the level cap of {tau.LEVEL_CAP}"),
+        ("tau --manifold s3 --r 100003 --depth 0",
+         f"r = 100003 exceeds the level cap of {tau.LEVEL_CAP}"),
+        ("obstruct --manifold brieskorn237 --r 100003",
+         f"r = 100003 exceeds the level cap of {tau.LEVEL_CAP}"),
+        ("ohtsuki --manifold poincare --r 1000003 --depth 0",
+         f"r = 1000003 exceeds the level cap of {tau.LEVEL_CAP}"),
+        ("ohtsuki --manifold poincare --r 10007",
+         f"r * (depth + 1) = 100130042 exceeds the digit-table cap of {cyclo.DIGIT_TABLE_CAP}"),
+        ("tau --manifold poincare --r 99991 --depth 100",
+         f"r * (depth + 1) = 10099091 exceeds the digit-table cap of {cyclo.DIGIT_TABLE_CAP}"),
+    ],
+)
+def test_manifold_level_over_a_cap_is_refused_before_work(capsys, monkeypatch, argv, message) -> None:
+    # tau at r = 1,000,000,007 once ran for minutes: every cap is checked
+    # before tau is computed
+    def work(manifold, r):
+        raise AssertionError(f"tau computed at r = {r}")
+
+    monkeypatch.setattr(cli, "tau_for", work)
+    code, out, err = run_cli(capsys, shlex.split(argv))
+    assert (code, out) == (2, "") and err.endswith(f"error: {message}\n")
+
+
+def test_the_level_caps_admit_what_they_bound(capsys) -> None:
+    # 99,991 is the largest prime level under the cap, and the full table
+    # at r = 3001 stays in reach; the library holds both rules
+    assert max(r for r in range(tau.LEVEL_CAP - 20, tau.LEVEL_CAP + 1) if is_prime(r)) == 99991
+    assert run_cli(capsys, ["tau", "--manifold", "s3", "--r", "99991", "--depth", "0"])[:2] == (
+        0, "manifold s3\nr 99991\nvalue 1\nn  a_n\n0    1\n")
+    cyclo.require_depth(2999, 3001)
+    cyclo.require_depth(cyclo.DIGIT_TABLE_CAP // 100_000 - 1, 100_000)
+    with pytest.raises(InputError, match="digit-table cap"):
+        ohtsuki_digits(CyclotomicInt.one(3167), 3165)  # a full table of 3167 * 3166 steps
+    with pytest.raises(InputError, match="level cap"):
+        tau_for("s3", 100003)
 
 
 def test_tau_at_level_10007_is_fast(capsys) -> None:
@@ -826,6 +869,33 @@ def test_braid_text_is_read_or_refused(braid):
     # letters run together once slipped past the braid pattern into int(),
     # an exit 1; every text is a braid word or a usage error
     assert exit_code(["jones", "--braid", braid]) in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "braid, message",
+    [
+        ("strands 12345678901234567890 :",
+         f"braid has 12345678901234567890 strands, more than the cap of {STRANDS_CAP}"),
+        (f"strands {STRANDS_CAP + 1} :",
+         f"braid has {STRANDS_CAP + 1} strands, more than the cap of {STRANDS_CAP}"),
+        ("strands " + "9" * 5000 + " :", "cannot parse braid: a number has more digits than int() reads"),
+        ("strands 3 : 1 " + "9" * 5000, "cannot parse braid: a number has more digits than int() reads"),
+    ],
+)
+def test_huge_strand_count_is_a_usage_error(capsys, braid, message) -> None:
+    # free strands escape the width cap and each one multiplies the bracket
+    # by delta, so the strand count has a cap of its own; a count that does
+    # not fit a machine word once exited 1, and one past int()'s digit
+    # limit still did
+    for command in (["jones"], ["yokota", "--p", "3"], ["murasugi", "--p", "3"]):
+        code, out, err = run_cli(capsys, [*command, "--braid", braid])
+        assert (code, out) == (2, "") and err.endswith(f"error: {message}\n")
+
+
+def test_the_strand_cap_admits_its_own_count() -> None:
+    assert parse_braid(f"strands {STRANDS_CAP} : 1 -2") == BraidWord(STRANDS_CAP, (1, -2))
+    with pytest.raises(InputError, match=f"cap of {STRANDS_CAP}"):
+        BraidWord(STRANDS_CAP + 1, ())
 
 
 def over_only_two_arc_component(d) -> bool:

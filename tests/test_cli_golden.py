@@ -56,6 +56,8 @@ CASES = [
     # is_prime stops deciding
     "tau --manifold s3 --r 318665857834031151167461",
     "tau --manifold s3 --r 3317044064679887385961981",
+    # a level over the cap, refused before tau is computed
+    "tau --manifold poincare --r 1000000007",
     # obstruct
     "obstruct --manifold poincare --r 7",
     "obstruct --manifold poincare --r 7 --json",
@@ -92,6 +94,8 @@ CASES = [
     "ohtsuki --manifold poincare --r 7 --depth 6",
     "ohtsuki --manifold poincare --r 15",
     "ohtsuki --manifold s3 --r 2",
+    # the full table at r = 10,007 is over the digit-table cap
+    "ohtsuki --manifold poincare --r 10007",
     # jones
     "jones --braid 'strands 2 : 1 1 1'",
     "jones --braid 'strands 2 : 1 1 1' --json",
@@ -103,6 +107,8 @@ CASES = [
     "jones --braid 'strands 2 : 3'",
     # letters run together are no braid word
     "jones --braid 'strands 2 : 1-1'",
+    # a strand count over the cap, once too large for a machine word
+    "jones --braid 'strands 12345678901234567890 :'",
     "jones",
     "jones --braid 'strands 2 : 1' --pd {pd}/trefoil.pd",
     "jones --pd {pd}/absent.pd",

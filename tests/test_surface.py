@@ -17,6 +17,11 @@ string such as perfbench's "cyclo.CyclotomicInt.power".  A module that
 binds a name itself, at its top level or in a class body, names its own
 binding: its uses of that name count for no other module.
 
+Importing every module of the package loads neither dataclasses nor
+inspect, which dataclasses imports: they and the code dataclasses writes
+for each class cost every process start-up time and memory (README,
+CLI), and the package's value types are NamedTuples that need neither.
+
 Every defaulted parameter of a package function or method is passed by
 some call in src/, scripts/ or perfbench/, by position or by keyword: a
 parameter that every caller leaves at its default is a knob with one
@@ -28,7 +33,10 @@ name."""
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -364,3 +372,20 @@ def test_guard_finds_each_unset_parameter(user, verdict):
     # scale's call of itself passes both of its knobs but counts for neither
     package = {"mod.py": ast.parse(KNOBS)}
     assert unset(package, package | {"user.py": ast.parse(user)}) == verdict
+
+
+def loaded_modules(imports: str) -> str:
+    """Which of dataclasses and inspect a fresh interpreter has loaded
+    after the statement imports, with the package on PYTHONPATH."""
+    probe = f"{imports}\nimport sys\nprint(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+def test_importing_the_package_loads_no_dataclass_machinery():
+    # measured against a bare interpreter started the same way, so that a
+    # site .pth that imports either module does not fail the test
+    modules = sorted(p.stem for p in PACKAGE if p.stem != "__init__")
+    assert len(modules) == 7
+    assert loaded_modules(f"import {', '.join(f'qperiod.{m}' for m in modules)}") == loaded_modules("pass")

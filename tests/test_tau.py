@@ -21,11 +21,15 @@ from oracles import (
     window_tau_sum,
 )
 from qperiod.cli import main
-from qperiod.cyclo import CyclotomicInt, make, ohtsuki_expansion, twist_conjugate
-from qperiod.liedata import build_root_system
+from qperiod.cyclo import CyclotomicInt, OhtsukiExpansion, make, ohtsuki_expansion, twist_conjugate
+from qperiod.liedata import GaussReport, LieConstants, RootSystem, build_root_system, gauss_report
+from qperiod.linkdiag import BraidWord, CongruenceReport, PlanarDiagram, closure, yokota_check
+from qperiod.qpoly import HalfLaurent
 from qperiod.tau import (
     EICHLER,
     DiscriminantReport,
+    ObstructionReport,
+    TauValue,
     coeff_table,
     discriminant_integers,
     obstruction_test,
@@ -712,8 +716,38 @@ def test_discriminant_json_shape(capsys) -> None:
     assert isinstance(obj, dict) and isinstance(obj["residues"][0], list)
 
 
-def test_discriminant_report_is_frozen() -> None:
-    rep = period_discriminant("s3", [7, 11])
-    assert isinstance(rep, DiscriminantReport)
+TREFOIL = BraidWord(2, (1, 1, 1))
+# each class the package returns or validates: a builder of a fresh value,
+# and one of its fields
+VALUE_TYPES = {
+    CyclotomicInt: (lambda: CyclotomicInt(5, (1, 0, -1, 2)), "coeffs"),
+    HalfLaurent: (lambda: HalfLaurent(((-1, 2), (3, 1))), "terms"),
+    RootSystem: (lambda: RootSystem("A", 1, ((2,),), (1,), ((1,),), (1,)), "rank"),
+    BraidWord: (lambda: BraidWord(3, (1, -2)), "letters"),
+    PlanarDiagram: (lambda: closure(TREFOIL), "signs"),
+    TauValue: (lambda: tau_for("poincare", 7), "value"),
+    ObstructionReport: (lambda: obstruction_test(tau_for("poincare", 7).value, 7), "verdict"),
+    DiscriminantReport: (lambda: period_discriminant("s3", [7, 11]), "lifted"),
+    LieConstants: (lambda: LieConstants(1, 2, 2, 2, 2, 2), "h"),
+    GaussReport: (lambda: gauss_report(A1, 5), "gamma"),
+    OhtsukiExpansion: (lambda: ohtsuki_expansion(tau_for("poincare", 7).value), "a"),
+    CongruenceReport: (lambda: yokota_check(closure(TREFOIL), 3), "passed"),
+}
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_value_types_are_immutable_values(cls) -> None:
+    # built twice, a value is two equal objects with one hash; it has no
+    # instance dict and no field can be assigned; and an int is no operand
+    # of the ring elements, so 2 * x is refused rather than taken as a
+    # repetition
+    build, field = VALUE_TYPES[cls]
+    x, y = build(), build()
+    assert type(x) is cls and x is not y
+    assert x == y and hash(x) == hash(y)
+    assert not hasattr(x, "__dict__")
     with pytest.raises(AttributeError):
-        rep.lifted = 1  # type: ignore[misc]
+        setattr(x, field, getattr(y, field))
+    if cls in (CyclotomicInt, HalfLaurent):
+        with pytest.raises(TypeError):
+            2 * x
