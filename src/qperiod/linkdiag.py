@@ -25,19 +25,24 @@ Conventions, fixed once and used everywhere:
 One bracket engine serves planar diagrams and braid words alike: it
 contracts the crossings one at a time, greedily ordered so that the open
 boundary stays narrow, and carries one coefficient polynomial per planar
-matching of that boundary.  Its cost grows with the number of matchings
-of the widest boundary times the crossing count, not as 2^c; on a braid
-closure the boundary stays near twice the strand count whatever the word
-length, so words raised to prime powers stay cheap.  A diagram whose
-boundary would be wider than a fixed cap is refused before any state is
-built.  Each periodicity check compares two Jones-type values modulo
-(p, generator) and reports through one routine.
+matching of that boundary.  A state is such a matching, written as the
+label of each open arc's partner: the open arc that the contracted
+strands join it to.  The cost grows with the number of matchings of the
+widest boundary times the crossing count, not as 2^c; on a braid closure
+the boundary stays near twice the strand count whatever the word length,
+so words raised to prime powers stay cheap.  A diagram whose boundary
+would be wider than a fixed cap is refused before any state is built.
+Each periodicity check compares two Jones-type values modulo
+(p, generator) and reports through one routine; a p-th power whose size
+bound is over a cap is refused before either value is computed.
 """
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from collections.abc import Sequence
+from operator import itemgetter
 from typing import NamedTuple
 
 from .modular import InputError, require_prime
@@ -45,10 +50,11 @@ from .qpoly import HalfLaurent, eta, quantum_integer, reduce_mod
 
 # A boundary of w arcs carries up to Catalan(w/2) matchings, about 4x more
 # per two arcs.  At width 18 the 84-crossing closure of the 9-strand word
-# (1 -2 3 -4 5 -6 7 -8 1 -2 3 -4)^7 took 7 to 9 s and its 9th power (108
-# crossings) 17 to 20 s, in two runs with Python 3.11 on one core of a
-# shared Xeon.  The greedy order keeps a braid closure's boundary near
-# twice its strand count, so the cap admits braids on about 9 strands.
+# (1 -2 3 -4 5 -6 7 -8 1 -2 3 -4)^7 took 3.5 to 4.6 s (best of 3 or 4, in
+# three runs) and its 9th power (108 crossings) 10.4 s (best of 2), with
+# Python 3.11 on a shared 2-CPU sandbox.  The greedy order keeps a braid
+# closure's boundary near twice its strand count, so the cap admits
+# braids on about 9 strands.
 BOUNDARY_WIDTH_CAP = 18
 
 # A strand that no letter touches closes into a free loop, which the width
@@ -57,6 +63,16 @@ BOUNDARY_WIDTH_CAP = 18
 # the strand count.  jones on N free strands took 0.3 / 1.3 / 7.0 s at
 # N = 1,000 / 2,000 / 4,000 with Python 3.11 on a shared 2-CPU sandbox.
 STRANDS_CAP = 1000
+
+
+# murasugi_check compares against the p-th power of the Jones polynomial.
+# That power has at most p * span + 1 exponents, span being the doubled
+# exponent span of the polynomial, and coefficients of at most p * log2(S)
+# bits, S being its absolute coefficient sum; their product is what the cap
+# bounds.  Raising to p took 2.0 s at a bound of 3.4 million (the trefoil,
+# p = 601), 4.5 s at 5.7 million and 9.1 s at 18.8 million (100 free
+# strands, p = 17 and 31), with Python 3.11 on a shared 2-CPU sandbox.
+POWER_BITS_CAP = 4_000_000
 
 
 class WidthLimitError(InputError):
@@ -330,10 +346,13 @@ def bracket_of_braid(b: BraidWord) -> HalfLaurent:
     return _contract(closure(b))
 
 
-# smoothing -> (A-exponent step as a doubled key, the slots it joins as an
-# involution on the slots a, b, c, d)
-_SMOOTHINGS = ((2, (1, 0, 3, 2)), (-2, (3, 2, 1, 0)))
 _DELTA_POWERS = ({0: 1}, {4: -1, -4: -1}, {8: 1, 0: 2, -8: 1})  # delta^0, ^1, ^2
+# the A- and B-smoothing: the slot pairs each joins, and its factors
+# A^(+-1) delta^j for j = 0, 1, 2, keyed by the doubled A-exponent
+_SMOOTHINGS = tuple(
+    (joins, tuple({k + e: c for k, c in power.items()} for power in _DELTA_POWERS))
+    for joins, e in ((((0, 1), (2, 3)), 2), (((0, 3), (1, 2)), -2))
+)
 
 
 def _contraction_order(crossings: Sequence[tuple[int, int, int, int]]) -> tuple[list[int], int]:
@@ -380,46 +399,22 @@ def _add_product(poly: dict[int, int], factor: dict[int, int], into: dict[int, i
             into[k + dk] = into.get(k + dk, 0) + c * dc
 
 
-def _slot_paths(link: list[int], joins: tuple[int, ...]) -> tuple[list[tuple[int, int]], int]:
-    """The strands through one smoothed crossing: link[s] is the slot that
-    slot s reaches outside the crossing, or -1 when it reaches an open
-    boundary arc; joins pairs the slots inside it.  Returns the pairs of
-    slots that leave on boundary arcs and the number of closed loops."""
-    seen = [False] * 4
-    paths = []
-    for s in range(4):
-        if link[s] < 0 and not seen[s]:
-            seen[s] = True
-            t = joins[s]
-            while link[t] >= 0:
-                seen[t] = True
-                t = link[t]
-                seen[t] = True
-                t = joins[t]
-            seen[t] = True
-            paths.append((s, t))
-    loops = 0
-    for s in range(4):
-        if not seen[s]:
-            loops += 1
-            while not seen[s]:
-                seen[s] = seen[joins[s]] = True
-                s = link[joins[s]]
-    return paths, loops
-
-
 def _contract(d: PlanarDiagram) -> HalfLaurent:
     """Contract the crossings one at a time in _contraction_order.
 
     After each step the open boundary is the list of arcs with one end
-    contracted.  A state is the planar matching the contracted part makes
-    on them, as a tuple of partner positions, and carries its coefficients
-    keyed by the doubled A-exponent.  Contracting a crossing smooths it
-    both ways, follows each strand through it to its new partner, and
-    multiplies by delta = -A^2 - A^(-2) for each loop that closes.  The
-    last crossing closes at least one loop in every state, so there the
-    factor is delta^(loops - 1) and the result needs no division by delta.
-    An arc at no crossing is a free loop and adds one more factor delta.
+    contracted: the arcs kept from the step before, then those the last
+    crossing opened.  A state is the planar matching the contracted part
+    makes on them, as the tuple of each open arc's partner label in that
+    order, and carries its coefficients keyed by the doubled A-exponent.
+    Contracting a crossing smooths it both ways and joins its slots in
+    pairs on the state's partner map, where an arc the crossing opens, or
+    one with both ends there, is its own partner; a join of the two ends
+    of one strand closes a loop and multiplies by delta = -A^2 - A^(-2).
+    The last crossing closes at least one loop in every state, so there
+    the factor is delta^(loops - 1) and the result needs no division by
+    delta.  An arc at no crossing is a free loop and adds one more factor
+    delta.
     """
     order, widest = _contraction_order(d.crossings)
     if widest > BOUNDARY_WIDTH_CAP:
@@ -434,57 +429,31 @@ def _contract(d: PlanarDiagram) -> HalfLaurent:
     boundary: list[int] = []
     for step, k in enumerate(order):
         x = d.crossings[k]
-        pos = {a: i for i, a in enumerate(boundary)}
-        at_slot = [-1] * len(boundary)  # boundary position -> its slot here
-        old = []  # (slot, boundary position) of the arcs this crossing closes
-        fixed = [-1] * 4  # slot -> the other slot of an arc with both ends here
-        opened = []
-        for s, a in enumerate(x):
-            if a in pos:
-                at_slot[pos[a]] = s
-                old.append((s, pos[a]))
-            elif x.count(a) == 2:
-                fixed[s] = next(t for t in range(4) if t != s and x[t] == a)
-            else:
-                opened.append(s)
-        kept = [i for i, s in enumerate(at_slot) if s < 0]
-        renum = [-1] * len(boundary)
-        for j, i in enumerate(kept):
-            renum[i] = j
-        opened_at = [-1] * 4  # slot -> boundary position of the arc it opens
-        for j, s in enumerate(opened):
-            opened_at[s] = len(kept) + j
-        boundary = [boundary[i] for i in kept] + [x[s] for s in opened]
+        own = {a: a for a in x if a not in boundary}  # arcs that start here
+        before, boundary = boundary, [a for a in boundary if a not in x]
+        boundary += [a for a in x if x.count(a) == 1 and a in own]
+        # open arcs pair off, so a boundary that is not empty has two or
+        # more and itemgetter returns a tuple
+        key_of = itemgetter(*boundary) if boundary else lambda p: ()
         last = step == len(order) - 1
-        # where the strands through the crossing go depends only on which
-        # of its slots the state joins outside it, so each pattern is
-        # smoothed once
-        smoothed: dict[tuple[int, ...], list] = {}
         nxt: dict[tuple[int, ...], dict[int, int]] = {}
         for m, poly in states.items():
-            key = tuple(at_slot[m[i]] for _, i in old)
-            if key not in smoothed:
-                link = fixed[:]
-                for (s, _), t in zip(old, key):
-                    link[s] = t
-                smoothed[key] = []
-                for e, joins in _SMOOTHINGS:
-                    pairs, loops = _slot_paths(link, joins)
-                    factor = {dk + e: dc for dk, dc in _DELTA_POWERS[loops - last].items()}
-                    smoothed[key].append((pairs, factor))
-            ends = opened_at[:]
-            for (s, i), t in zip(old, key):
-                if t < 0:
-                    ends[s] = renum[m[i]]
-            base = [renum[m[i]] for i in kept] + [0] * len(opened)
-            for pairs, factor in smoothed[key]:
-                nm = base[:]
-                for s, t in pairs:
-                    nm[ends[s]], nm[ends[t]] = ends[t], ends[s]
-                nm = tuple(nm)
-                if nm not in nxt:
-                    nxt[nm] = {}
-                _add_product(poly, factor, nxt[nm])
+            partner = dict(zip(before, m))
+            partner.update(own)
+            for joins, factors in _SMOOTHINGS:
+                p = partner.copy()
+                loops = -last
+                for s, t in joins:
+                    end = p[x[s]]  # where the strand through slot s comes out
+                    if end == x[t]:
+                        loops += 1
+                    else:
+                        other = p[x[t]]
+                        p[end], p[other] = other, end
+                key = key_of(p)
+                if key not in nxt:
+                    nxt[key] = {}
+                _add_product(poly, factors[loops], nxt[key])
         states = nxt
     (poly,) = states.values()
     for _ in range(free):
@@ -552,14 +521,27 @@ def _congruence(lhs: HalfLaurent, rhs: HalfLaurent, p: int, gen: HalfLaurent) ->
     return CongruenceReport(residual.is_zero, p, lhs, rhs, residual)
 
 
+def _power(f: HalfLaurent, p: int) -> HalfLaurent:
+    """f ** p for a nonzero f, refused before work when its size bound is
+    over POWER_BITS_CAP."""
+    bits = int(p * math.log2(sum(abs(c) for _, c in f.terms))) + 1
+    size = (p * (f.max_exp - f.min_exp) + 1) * bits
+    if size > POWER_BITS_CAP:
+        raise InputError(
+            f"the power to p = {p} could hold {size} coefficient bits, more than the cap of {POWER_BITS_CAP}"
+        )
+    return f ** p
+
+
 def murasugi_check(b: BraidWord, p: int) -> CongruenceReport:
     """Compare the closure of b^p against the p-th power of the closure of
     b modulo (p, eta_p(t)); the congruence holds whenever the big link is
     p-periodic with the small one as quotient, which is true here by
     construction."""
     require_period(p)
+    rhs = _power(jones_of_braid(b), p)
     big = jones_of_braid(BraidWord(b.strands, b.letters * p))
-    return _congruence(big, jones_of_braid(b) ** p, p, eta(p))
+    return _congruence(big, rhs, p, eta(p))
 
 
 def p2_check(b: BraidWord, p: int) -> CongruenceReport:
@@ -567,8 +549,8 @@ def p2_check(b: BraidWord, p: int) -> CongruenceReport:
     (p, [2]^p - [2]); p = 2 is allowed here."""
     require_prime("p", p)
     two = quantum_integer(2)
+    rhs = _power(two_strand_invariant(jones_of_braid(b)), p)
     lhs = two_strand_invariant(jones_of_braid(BraidWord(b.strands, b.letters * p)))
-    rhs = two_strand_invariant(jones_of_braid(b)) ** p
     return _congruence(lhs, rhs, p, two**p - two)
 
 

@@ -308,7 +308,11 @@ def period_discriminant(manifold_id: str, primes) -> DiscriminantReport:
     if not prime_list:
         raise InputError("need at least one level")
     rows = tuple((r, v % r, delta % r) for r in prime_list)
-    modulus = prod(prime_list)
+    modulus = 1
+    for r in prime_list:
+        modulus *= r
+        if modulus > 2 * abs(delta):
+            break  # every larger modulus lifts the defect to itself
     lifted = delta % modulus
     if 2 * lifted > modulus:
         lifted -= modulus

@@ -127,6 +127,9 @@ CASES = [
     "murasugi --braid 'strands x' --p 4",
     "murasugi --p 3",
     "murasugi --braid 'strands 12 : 1 -2 3 -4 5 -6 7 -8 9 -10 11 1 -2 3 -4 5 -6 7 -8 9 -10 11' --p 7",
+    # p-th powers whose size bound is over the cap, refused before any contraction
+    "murasugi --braid 'strands 100 :' --p 31",
+    "murasugi --braid 'strands 2 : 1 1 1' --p 1009 --json",
     # yokota
     "yokota --braid 'strands 2 : 1 1 1' --p 3",
     "yokota --braid 'strands 2 : 1 1 1' --p 5",

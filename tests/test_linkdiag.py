@@ -21,6 +21,7 @@ from qperiod import linkdiag
 from qperiod.cli import main
 from qperiod.linkdiag import (
     BOUNDARY_WIDTH_CAP,
+    POWER_BITS_CAP,
     BraidWord,
     PlanarDiagram,
     WidthLimitError,
@@ -80,11 +81,12 @@ def braid(text: str) -> BraidWord:
     return parse_braid(text)
 
 
-def braid_words(max_strands: int, max_letters: int):
-    """Braids on 2..max_strands strands with at most max_letters letters."""
+def braid_words(max_strands: int, max_letters: int, min_letters: int = 0):
+    """Braids on 2..max_strands strands with min_letters..max_letters letters."""
     return st.integers(2, max_strands).flatmap(
         lambda n: st.lists(
             st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i])),
+            min_size=min_letters,
             max_size=max_letters,
         ).map(lambda word: BraidWord(n, tuple(word)))
     )
@@ -177,6 +179,13 @@ def test_bracket_statesum_matches_transfer(b):
 def test_bracket_of_braid_powers_matches_transfer(b, p):
     bp = BraidWord(b.strands, b.letters * p)
     assert bracket_of_braid(bp) == transfer_bracket(bp)
+
+
+@given(braid_words(3, 120, min_letters=40))
+@settings(max_examples=30, deadline=None)
+def test_bracket_of_long_narrow_words_matches_transfer(b):
+    # arcs open and close over many steps on a boundary of a few arcs
+    assert kauffman_bracket(closure(b)) == transfer_bracket(b)
 
 
 WIDE = parse_braid("strands 12 : " + " ".join(["1 -2 3 -4 5 -6 7 -8 9 -10 11"] * 14))
@@ -491,6 +500,15 @@ def test_murasugi_rejects_bad_period():
         murasugi_check(braid("strands 2 : 1"), 2)
     with pytest.raises(ValueError):
         murasugi_check(braid("strands 2 : 1"), 9)
+
+
+@pytest.mark.parametrize("check", [murasugi_check, p2_check])
+@pytest.mark.parametrize("text, p", [("strands 100 :", 31), ("strands 2 : 1 1 1", 1_000_000_007)])
+def test_power_cap_refuses_before_work(check, text, p):
+    # the 10^9-fold trefoil word could not even be built, so this returns
+    # only if the refusal comes first
+    with pytest.raises(InputError, match=f"more than the cap of {POWER_BITS_CAP}"):
+        check(braid(text), p)
 
 
 def test_yokota_trefoil():

@@ -1,7 +1,9 @@
 """Every public function, class, method and module constant of the
 package has a use: some module under src/, scripts/ or perfbench/ names it
 outside its own definition.  A routine or a constant that only the tests
-call belongs in tests/oracles.py or in the test that reads it.
+call belongs in tests/oracles.py or in the test that reads it.  A private
+module-level function, class or constant needs a use in the same way, so
+a refactor leaves no dead helper or stale table behind.
 No module of the package imports a private name from another: what a
 sibling needs is public, and so checked for a use like every public name.
 The CLI holds no argument rule of its own: it names no is_prime, and it
@@ -108,10 +110,19 @@ def uses(tree: ast.AST) -> list[tuple[str, int]]:
     return found
 
 
-def unused(package: dict[str, ast.Module], users: dict[str, ast.Module]) -> list[str]:
-    """'file:name' for each public definition in package that no module of
-    users names outside the definition's own lines, counting a module's
-    use of a name it binds itself only for its own definitions."""
+def private_definitions(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """The private top-level functions, classes and constants of a module;
+    dunder names are the language's, not the module's."""
+    return [(name, node) for name, node in bindings(tree.body)
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def unused(package: dict[str, ast.Module], users: dict[str, ast.Module],
+           pick=definitions) -> list[str]:
+    """'file:name' for each definition that pick finds in package and that
+    no module of users names outside the definition's own lines, counting
+    a module's use of a name it binds itself only for its own
+    definitions."""
     used = defaultdict(list)
     for path, tree in users.items():
         own_names = bound(tree)
@@ -119,7 +130,7 @@ def unused(package: dict[str, ast.Module], users: dict[str, ast.Module]) -> list
             used[name].append((path, line, name in own_names))
     missing = []
     for path, tree in package.items():
-        for name, node in definitions(tree):
+        for name, node in pick(tree):
             own = range(node.lineno, node.end_lineno + 1)
             if all(line in own if p == path else shadowed for p, line, shadowed in used[name]):
                 missing.append(f"{Path(path).name}:{name}")
@@ -281,6 +292,27 @@ def test_cli_rule_guard(source, verdict):
 
 def test_every_public_name_has_a_use():
     assert unused(parse(PACKAGE), parse(USERS)) == []
+
+
+def test_every_private_name_has_a_use():
+    assert unused(parse(PACKAGE), parse(USERS), private_definitions) == []
+
+
+@pytest.mark.parametrize(
+    "user, verdict",
+    [
+        ("", ["mod.py:_TABLE", "mod.py:_walk"]),
+        ("from mod import _walk", ["mod.py:_TABLE"]),
+        ("x = mod._TABLE[0] + mod._walk()", []),
+        ("_TABLE = (1,)\nprint(_TABLE)", ["mod.py:_TABLE", "mod.py:_walk"]),
+    ],
+)
+def test_guard_finds_each_unused_private_name(user, verdict):
+    # a helper's call of itself is no use, a used constant and dunder
+    # names are never reported
+    source = "__all__ = []\n_USED = 2\n_TABLE = (_USED,)\n\ndef _walk():\n    return _walk()\n"
+    package = {"mod.py": ast.parse(source)}
+    assert unused(package, package | {"user.py": ast.parse(user)}, private_definitions) == verdict
 
 
 def test_no_module_imports_a_private_name_of_another():

@@ -604,6 +604,10 @@ LEVELS_TO_200 = [r for r in range(5, 200) if is_prime(r)]
 @example("poincare", [5, 7])
 @example("brieskorn_2_3_7", [5, 11])
 @example("brieskorn_2_3_7", [5, 7, 11])
+# levels past the first product over twice the defect, in any order
+@example("poincare", [19, 5, 7, 11, 13, 17])
+@example("brieskorn_2_3_7", LEVELS_TO_200)
+@example("s3", [7, 5])
 def test_lift_is_the_crt_of_the_residues(manifold: str, levels: list[int]) -> None:
     rep = period_discriminant(manifold, levels)
     assert rep.lifted == crt_symmetric([(r, d) for r, _, d in rep.residues])
