@@ -6,7 +6,8 @@ Elements are integer coordinate vectors in the canonical basis
 element has exactly one coordinate vector.  That makes equality testing,
 integer divisibility, and the (1 - xi)-adic expansion coefficientwise.
 The ring operations take two elements of one ring; an integer enters as
-`CyclotomicInt.from_int`.
+`CyclotomicInt.from_int`.  A product is `modular.poly_mul`, the one
+product of integer polynomials, on the coordinates, folded by `make`.
 
 The (1 - xi)-adic expansion writes x as
 
@@ -38,7 +39,7 @@ from itertools import accumulate
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
-from .modular import InputError, require_prime
+from .modular import InputError, poly_mul, require_prime
 
 
 # A digit table costs r * (depth + 1) steps: the whole ohtsuki command took
@@ -105,21 +106,7 @@ class CyclotomicInt(NamedTuple("CyclotomicInt", [("r", int), ("coeffs", tuple[in
 
     def __mul__(self, other: CyclotomicInt) -> CyclotomicInt:
         self._check_same_ring(other)
-        # Kronecker substitution: pack each factor's power-basis vector as
-        # the base-2^(8 * width) digits of one integer, so that a single
-        # big-integer product (Karatsuba) carries every convolution sum.
-        # Each vector is first shifted by its minimum, a multiple of
-        # 1 + xi + ... + xi^(r-1) = 0, so every digit is nonnegative, and
-        # width bytes hold each factor's digits and any convolution sum.
-        r = self.r
-        a, b = _nonnegative_powers(self), _nonnegative_powers(other)
-        width = (max(1, *a) * max(1, *b) * r).bit_length() // 8 + 1
-        packed = _pack(a, width) * _pack(b, width)
-        digits = packed.to_bytes(2 * r * width, "little")
-        acc = [0] * r
-        for k in range(2 * r - 1):
-            acc[k % r] += int.from_bytes(digits[k * width:(k + 1) * width], "little")
-        return _fold_power_vector(r, acc)
+        return make(self.r, poly_mul(enumerate(self.coeffs), enumerate(other.coeffs)))
 
     def __rmul__(self, other: object) -> object:
         return NotImplemented  # an int operand is refused, not a tuple repetition
@@ -133,23 +120,6 @@ class CyclotomicInt(NamedTuple("CyclotomicInt", [("r", int), ("coeffs", tuple[in
         return make(self.r, {(i * j) % self.r: c for i, c in enumerate(self.coeffs)})
 
 
-def _nonnegative_powers(x: CyclotomicInt) -> list[int]:
-    """Coordinates of x on the power basis xi^0 .. xi^(r-1), all >= 0."""
-    low = min(0, *x.coeffs)
-    return [c - low for c in x.coeffs] + [-low]
-
-
-def _pack(v: list[int], width: int) -> int:
-    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in v), "little")
-
-
-def _fold_power_vector(r: int, acc: list[int]) -> CyclotomicInt:
-    # acc has length r; eliminate the xi^(r-1) coordinate with the relation
-    # xi^(r-1) = -(1 + xi + ... + xi^(r-2))
-    top = acc[r - 1]
-    return CyclotomicInt(r, tuple(acc[i] - top for i in range(r - 1)))
-
-
 def make(r: int, monomials: Mapping[int, int] | Iterable[tuple[int, int]]) -> CyclotomicInt:
     """Build the canonical form of sum c * xi^power from (power, c) data.
 
@@ -161,7 +131,7 @@ def make(r: int, monomials: Mapping[int, int] | Iterable[tuple[int, int]]) -> Cy
     acc = [0] * r
     for power, c in items:
         acc[power % r] += c
-    return _fold_power_vector(r, acc)
+    return CyclotomicInt(r, tuple(c - acc[-1] for c in acc[:-1]))
 
 
 def twist_conjugate(x: CyclotomicInt, v: int) -> CyclotomicInt:

@@ -32,6 +32,8 @@ widest boundary times the crossing count, not as 2^c; on a braid closure
 the boundary stays near twice the strand count whatever the word length,
 so words raised to prime powers stay cheap.  A diagram whose boundary
 would be wider than a fixed cap is refused before any state is built.
+Free loops multiply the bracket once, by delta ** free; that power and
+each p-th power square through `modular.poly_mul`, the one product.
 Each periodicity check compares two Jones-type values modulo
 (p, generator) and reports through one routine; a p-th power whose size
 bound is over a cap is refused before either value is computed.
@@ -58,10 +60,10 @@ from .qpoly import HalfLaurent, eta, quantum_integer, reduce_mod
 BOUNDARY_WIDTH_CAP = 18
 
 # A strand that no letter touches closes into a free loop, which the width
-# cap does not see, and each loop multiplies the bracket by delta, a
-# product that grows with every loop, so the cost is about quadratic in
-# the strand count.  jones on N free strands took 0.3 / 1.3 / 7.0 s at
-# N = 1,000 / 2,000 / 4,000 with Python 3.11 on a shared 2-CPU sandbox.
+# cap does not see.  The free loops multiply the bracket by delta ** N,
+# whose last squarings are products of integers of about N^2 bits: jones
+# on N free strands took 0.07 / 0.6 / 5.9 s at N = 1,000 / 2,000 / 4,000
+# with Python 3.11 on a shared 2-CPU sandbox.
 STRANDS_CAP = 1000
 
 
@@ -69,8 +71,8 @@ STRANDS_CAP = 1000
 # That power has at most p * span + 1 exponents, span being the doubled
 # exponent span of the polynomial, and coefficients of at most p * log2(S)
 # bits, S being its absolute coefficient sum; their product is what the cap
-# bounds.  Raising to p took 2.0 s at a bound of 3.4 million (the trefoil,
-# p = 601), 4.5 s at 5.7 million and 9.1 s at 18.8 million (100 free
+# bounds.  Raising to p took 0.6 s at a bound of 3.4 million (the trefoil,
+# p = 601), 1.6 s at 5.7 million and 3.3 s at 18.8 million (100 free
 # strands, p = 17 and 31), with Python 3.11 on a shared 2-CPU sandbox.
 POWER_BITS_CAP = 4_000_000
 
@@ -413,8 +415,7 @@ def _contract(d: PlanarDiagram) -> HalfLaurent:
     of one strand closes a loop and multiplies by delta = -A^2 - A^(-2).
     The last crossing closes at least one loop in every state, so there
     the factor is delta^(loops - 1) and the result needs no division by
-    delta.  An arc at no crossing is a free loop and adds one more factor
-    delta.
+    delta.  The free loops, arcs at no crossing, multiply it by delta ** free.
     """
     order, widest = _contraction_order(d.crossings)
     if widest > BOUNDARY_WIDTH_CAP:
@@ -456,11 +457,8 @@ def _contract(d: PlanarDiagram) -> HalfLaurent:
                 _add_product(poly, factors[loops], nxt[key])
         states = nxt
     (poly,) = states.values()
-    for _ in range(free):
-        out: dict[int, int] = {}
-        _add_product(poly, _DELTA_POWERS[1], out)
-        poly = out
-    return HalfLaurent.from_dict(poly)
+    bracket = HalfLaurent.from_dict(poly)
+    return bracket * HalfLaurent.from_dict(_DELTA_POWERS[1]) ** free if free else bracket
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Shared number-theoretic helpers.
 
-Primality, the remainder of dense polynomials over a prime field, and
-trial-division factorization.  Everything here works on plain Python
-integers, so all results are exact at any size.
+Primality, the remainder of dense polynomials over a prime field,
+trial-division factorization, and `poly_mul`, the one product of integer
+polynomials.  Everything here works on plain Python integers, so all
+results are exact at any size.
 
 Every layer refuses an inadmissible argument with InputError, worded
 for the user: a ValueError that the CLI reports as a usage error.
 """
 from __future__ import annotations
+
+from math import gcd
+from typing import Iterable
 
 # the first 13 primes as Miller-Rabin bases decide primality exactly below
 # psi_13 (Sorenson and Webster, Math. Comp. 86, 2017); the first 12 only
@@ -90,6 +94,37 @@ def fp_rem(num: list[int], den: list[int], p: int) -> list[int]:
     while rem and rem[-1] == 0:
         rem.pop()
     return rem
+
+
+def poly_mul(f: Iterable[tuple[int, int]], g: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """The product of integer polynomials given as (exponent, coefficient)
+    pairs, distinct exponents of any sign, as {exponent: coefficient}
+    without zeros, by one big-integer product (Kronecker substitution).
+    Both factors lie on their common exponent step, the gcd of the offsets
+    from each lowest exponent, and each coefficient c is the w-byte digit
+    c + 2^(8w-1).  No product coefficient exceeds the shorter length times
+    both largest coefficients, and w keeps that below 2^(8w-1)."""
+    f = [(k, c) for k, c in f if c]
+    g = [(k, c) for k, c in g if c]
+    if not f or not g:
+        return {}
+    lows = min(f)[0], min(g)[0]
+    step = gcd(*[k - lows[0] for k, _ in f], *[k - lows[1] for k, _ in g]) or 1
+    bound = min(len(f), len(g)) * max([abs(c) for _, c in f]) * max([abs(c) for _, c in g])
+    width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    bias = half.to_bytes(width, "little")
+    product = 1
+    for terms, low in zip((f, g), lows):
+        digits = [half] * ((max(terms)[0] - low) // step + 1)
+        for k, c in terms:
+            digits[(k - low) // step] += c
+        packed = b"".join([d.to_bytes(width, "little") for d in digits])
+        product *= int.from_bytes(packed, "little") - int.from_bytes(bias * len(digits), "little")
+    n = (max(f)[0] + max(g)[0] - sum(lows)) // step + 1
+    raw = (product + int.from_bytes(bias * n, "little")).to_bytes(n * width, "little")
+    coeffs = (int.from_bytes(raw[i:i + width], "little") - half for i in range(0, len(raw), width))
+    return {sum(lows) + i * step: c for i, c in enumerate(coeffs) if c}
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:

@@ -3,6 +3,7 @@
 A term c * v^(k/2) is stored under the doubled exponent key k, so all keys
 are plain integers and arithmetic never touches floating point.  The same
 container serves polynomials in q, in t, and in the bracket variable.
+A product, and each squaring in a power, is the one `modular.poly_mul`.
 
 Two substitutions matter downstream: mirroring (v -> 1/v, negate every
 exponent) and the sign-twisted inversion sqrt(q) -> -1/sqrt(t) that turns
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .modular import encode_int, fp_rem, require_prime
+from .modular import encode_int, fp_rem, poly_mul, require_prime
 
 
 class HalfLaurent(NamedTuple):
@@ -73,12 +74,7 @@ class HalfLaurent(NamedTuple):
         return self + (-other)
 
     def __mul__(self, other: HalfLaurent) -> HalfLaurent:
-        acc: dict[int, int] = {}
-        for k1, c1 in self.terms:
-            for k2, c2 in other.terms:
-                k = k1 + k2
-                acc[k] = acc.get(k, 0) + c1 * c2
-        return HalfLaurent.from_dict(acc)
+        return HalfLaurent.from_dict(poly_mul(self.terms, other.terms))
 
     def __rmul__(self, other: object) -> object:
         return NotImplemented  # an int operand is refused, not a tuple repetition

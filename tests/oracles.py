@@ -5,7 +5,8 @@ numeric image of an element of Z[xi], `ideal_member` the one-shift-at-a-time
 route, a gcd and a division over GF(p) (`fp_gcd`, `fp_divides`), that
 `tau.quotient_congruence_test` replaced by reading p mod r,
 `schoolbook_product` the coordinate double loop that the packed Z[xi]
-product replaced,
+product replaced, `dict_product` the pair loop over terms that
+`modular.poly_mul` replaced in `HalfLaurent.__mul__`,
 `divide_by_one_minus_xi` the partial-sum division by 1 - xi that
 `cyclo.divide_power_vector` replaced, `twisted_division` the
 twist-divide-twist route to 1 - xi^e, e any unit mod r, which serves
@@ -151,6 +152,16 @@ def schoolbook_product(x: CyclotomicInt, y: CyclotomicInt) -> CyclotomicInt:
         for j, b in enumerate(y.coeffs):
             acc[(i + j) % r] += a * b
     return CyclotomicInt(r, tuple(c - acc[r - 1] for c in acc[:-1]))
+
+
+def dict_product(f: HalfLaurent, g: HalfLaurent) -> HalfLaurent:
+    """f * g by the double loop over pairs of terms."""
+    acc: dict[int, int] = {}
+    for k1, c1 in f.terms:
+        for k2, c2 in g.terms:
+            k = k1 + k2
+            acc[k] = acc.get(k, 0) + c1 * c2
+    return HalfLaurent.from_dict(acc)
 
 
 def divide_by_one_minus_xi(x: CyclotomicInt) -> CyclotomicInt:

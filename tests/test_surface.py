@@ -13,6 +13,8 @@ The output format lives in cli.py, which builds every JSON field and text
 line: no class of the package defines to_json, and no module but
 modular.py, qpoly.py and cli.py names encode_int, since
 qpoly.poly_to_json is the one serializer that the library keeps.
+No module but modular.py names to_bytes or from_bytes, so that
+modular.poly_mul is the one routine that packs integers into digits.
 
 A use is a name, an attribute, an imported name, or one part of a dotted
 string such as perfbench's "cyclo.CyclotomicInt.power".  A module that
@@ -53,6 +55,8 @@ DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 # the modules that may name encode_int: its own, and those of the two
 # serializers, qpoly.poly_to_json and the CLI
 SERIALIZERS = {"modular.py", "qpoly.py", "cli.py"}
+# the one module that may pack integers as bytes: that of modular.poly_mul
+PACKERS = {"modular.py"}
 
 
 def bindings(body: list[ast.stmt]) -> list[tuple[str, ast.stmt]]:
@@ -266,6 +270,43 @@ def test_only_the_cli_writes_reports():
 )
 def test_report_format_guard(name, source, verdict):
     assert report_formats({name: ast.parse(source)}) == verdict
+
+
+def byte_packing(package: dict[str, ast.Module]) -> list[str]:
+    """'file:name' for each module outside PACKERS that names to_bytes or
+    from_bytes."""
+    found = []
+    for path, tree in package.items():
+        name = Path(path).name
+        if name not in PACKERS:
+            named = {used for used, _ in uses(tree)} & {"to_bytes", "from_bytes"}
+            found += [f"{name}:{used}" for used in sorted(named)]
+    return found
+
+
+def test_only_modular_packs_integers():
+    assert byte_packing(parse(PACKAGE)) == []
+
+
+# the packing that cyclo.py did itself before modular.poly_mul
+CYCLO_PACK = (
+    "def _pack(v, width):\n"
+    "    return int.from_bytes(b''.join(c.to_bytes(width, 'little') for c in v), 'little')\n"
+)
+
+
+@pytest.mark.parametrize(
+    "name, source, verdict",
+    [
+        ("cyclo.py", CYCLO_PACK, ["cyclo.py:from_bytes", "cyclo.py:to_bytes"]),
+        ("qpoly.py", "raw = packed.to_bytes(n, 'little')", ["qpoly.py:to_bytes"]),
+        ("linkdiag.py", "from_bytes = int.from_bytes", ["linkdiag.py:from_bytes"]),
+        ("modular.py", CYCLO_PACK, []),
+        ("cyclo.py", "product = poly_mul(f, g)", []),
+    ],
+)
+def test_packing_guard(name, source, verdict):
+    assert byte_packing({name: ast.parse(source)}) == verdict
 
 
 def test_cli_holds_no_argument_rule():
